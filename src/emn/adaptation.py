@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from emn.errors import ConfigError, NotTrainedError
-from emn.inference import EmnModel, labels_from_signals, predict_batch
+from emn.inference import EmnModel, labels_from_signals
 from emn.memory import (
     MemoryStore,
     _check_batch,
@@ -64,8 +64,10 @@ class AdaptationHistory:
 
 def pseudo_label(model: EmnModel, X_target) -> np.ndarray:
     """Predicted labels over the target rows, as an int vector."""
-    preds = predict_batch(model, X_target)
-    return np.array([p.label for p in preds], dtype=np.int64)
+    if not model.trained:
+        raise NotTrainedError("model has uninitialized memory units")
+    signals = propagate_batch(model.topology, X_target, model.hyper.rounds)
+    return labels_from_signals(model, signals)
 
 
 def reinforced_update(

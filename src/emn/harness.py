@@ -203,10 +203,12 @@ def train_supervised(
     n = source.n_samples
     order = np.random.default_rng(shuffle_seed).permutation(n)
     B = model.hyper.batch_size
+    # Rows propagate independently, so the source is propagated once and
+    # each shuffled batch slices its signals.
+    signals = propagate_batch(model.topology, source.features, model.hyper.rounds)
     for lo in range(0, n, B):
         idx = order[lo : lo + B]
-        signals = propagate_batch(model.topology, source.features[idx], model.hyper.rounds)
-        supervised_update(model.store, signals, source.labels[idx])
+        supervised_update(model.store, signals[idx], source.labels[idx])
 
 
 @dataclass

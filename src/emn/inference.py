@@ -61,6 +61,11 @@ class Prediction:
     node_details: list[NodeDetail] | None = None
 
 
+# (row, node, class) cells retrieved per chunk of rows; bounds the
+# transient memory of retrieval and fusion.
+_CHUNK_CELLS = 1 << 16
+
+
 def build_model(
     topo_cfg: TopologyConfig,
     class_count: int,
@@ -92,12 +97,19 @@ def batch_node_votes(model: EmnModel, signals: np.ndarray):
     return posteriors, labels, confidences
 
 
+def _row_chunks(model: EmnModel, signals: np.ndarray):
+    """Row slices of at most ``_CHUNK_CELLS`` cells; rows fuse independently."""
+    step = max(1, _CHUNK_CELLS // max(1, signals.shape[1] * model.class_count))
+    return (slice(lo, lo + step) for lo in range(0, signals.shape[0], step))
+
+
 def fused_posteriors_from_signals(model: EmnModel, signals: np.ndarray) -> np.ndarray:
     """Fused posterior rows (B x C) from precomputed memory signals."""
-    if signals.shape[0] == 0:
-        return np.empty((0, model.class_count))
-    posteriors, _, confidences = batch_node_votes(model, signals)
-    return _fuse(posteriors, confidences)
+    fused = np.empty((signals.shape[0], model.class_count))
+    for rows in _row_chunks(model, signals):
+        posteriors, _, confidences = batch_node_votes(model, signals[rows])
+        fused[rows] = _fuse(posteriors, confidences)
+    return fused
 
 
 def labels_from_signals(model: EmnModel, signals: np.ndarray) -> np.ndarray:
@@ -116,25 +128,25 @@ def predict_batch(
     if X.ndim != 2:
         raise DimensionError(f"expected a 2-D batch, got shape {X.shape}")
     signals = propagate_batch(model.topology, X, model.hyper.rounds)
-    if X.shape[0] == 0:
-        return []
-    posteriors, labels, confidences = batch_node_votes(model, signals)
-    fused = _fuse(posteriors, confidences)
     node_ids = model.topology.memory_node_ids
     out = []
-    for b in range(X.shape[0]):
-        details = None
-        if with_details:
-            details = [
-                NodeDetail(
-                    int(node_ids[i]),
-                    int(labels[b, i]),
-                    float(confidences[b, i]),
-                    posteriors[b, i],
-                )
-                for i in range(len(node_ids))
-            ]
-        out.append(Prediction(int(np.argmax(fused[b])), fused[b], details))
+    for rows in _row_chunks(model, signals):
+        posteriors, labels, confidences = batch_node_votes(model, signals[rows])
+        fused = _fuse(posteriors, confidences)
+        for b in range(fused.shape[0]):
+            details = None
+            if with_details:
+                details = [
+                    NodeDetail(
+                        int(node_ids[i]),
+                        int(labels[b, i]),
+                        float(confidences[b, i]),
+                        posteriors[b, i],
+                    )
+                    for i in range(len(node_ids))
+                ]
+            # A copy, so a kept Prediction does not pin the whole chunk.
+            out.append(Prediction(int(np.argmax(fused[b])), fused[b].copy(), details))
     return out
 
 

@@ -204,9 +204,10 @@ def class_log_likelihoods(unit: GaussianClassMemory, m_hat: float, hyper: HyperP
 
 
 def softmax(log_values: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = log_values - log_values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = log_values - log_values.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def node_posterior(

@@ -9,6 +9,12 @@ Accumulation order is part of the defined semantics: the incoming sum for
 a node is formed sequentially in predecessor-list order and then added to
 the hidden state. This makes results bit-reproducible and checkable
 against a straight-line scalar interpreter.
+
+The engine compiles a topology's rank tables once and caches them on it.
+A node fed only by entrances receives input only in round 1, so a
+one-shot phase settles all such nodes (every hub) with one ordered sum;
+then T rounds run over the remaining nodes. State is node-major (N x B),
+so each rank gathers contiguous rows of the previous round's outputs.
 """
 
 from __future__ import annotations
@@ -54,51 +60,149 @@ class PropagationTrace:
     rounds: list[RoundTrace]
 
 
-def _rank_tables(topology: NetworkTopology):
-    """Per predecessor-rank index arrays for ordered accumulation."""
-    degrees = np.array([p.size for p in topology.predecessors])
-    max_deg = int(degrees.max()) if degrees.size else 0
-    tables = []
-    for r in range(max_deg):
-        nodes = np.nonzero(degrees > r)[0]
-        src = np.array([topology.predecessors[i][r] for i in nodes], dtype=np.int64)
-        w = np.array([topology.weights[i][r] for i in nodes])
-        tables.append((nodes, src, w))
-    return tables
+@dataclass(frozen=True)
+class _Phase:
+    """Rank tables of one group of nodes, for ordered accumulation.
+
+    Column j of ``src``/``weights`` holds node j's predecessors and weights
+    in list order. Shorter lists are padded with the always-zero output row
+    and weight 0.0: a sum that starts at +0.0 is never -0.0, so the appended
+    +0.0 terms leave it bit-identical.
+    """
+
+    nodes: np.ndarray  # node ids
+    src: np.ndarray  # rank x node, rows of the output buffer
+    weights: np.ndarray  # rank x node x 1
+
+
+@dataclass(frozen=True)
+class CompiledTopology:
+    """A topology split for propagation; built once per NetworkTopology.
+
+    Pure sources are entrances without predecessors: they emit their
+    feature at round 0 and nothing after. A node whose predecessors are all
+    pure sources (every hub of ``build_topology``) emits the positive part
+    of one ordered sum in round 1 and nothing after: its later input is
+    +0.0 (or NaN for a non-finite weight), which cannot lift a hidden state
+    that is <= 0 or NaN. Every other node iterates for T rounds. Nodes are
+    classified by their predecessor lists, never by kind, so any edge set
+    keeps the semantics of ``reference_propagate``.
+    """
+
+    one_shot: _Phase
+    rest: _Phase
+
+
+# Gathered terms per block of ranks, and state cells (nodes x rows) per
+# chunk of rows, in float64 elements: they bound the transient memory.
+_BLOCK_TERMS = 1 << 16
+_CHUNK_CELLS = 1 << 15
+
+
+def _phase(topology: NetworkTopology, nodes: list[int]) -> _Phase:
+    n = topology.node_count
+    nodes = np.array(nodes, dtype=np.int64)
+    preds = [topology.predecessors[i] for i in nodes]
+    degrees = np.array([p.size for p in preds], dtype=np.int64)
+    width = int(degrees.max(initial=0))
+    src = np.full((nodes.size, width), n, dtype=np.int64)
+    weights = np.zeros((nodes.size, width))
+    if width:
+        filled = np.arange(width) < degrees[:, None]
+        # Negative ids count from the end, as in numpy indexing.
+        src[filled] = np.arange(n)[np.concatenate(preds)]
+        weights[filled] = np.concatenate([topology.weights[i] for i in nodes])
+    return _Phase(nodes, src.T.copy(), weights.T[:, :, None].copy())
+
+
+def _compile(topology: NetworkTopology) -> CompiledTopology:
+    """The topology's rank tables, compiled on first use and cached on it."""
+    compiled = topology.compiled
+    if compiled is None:
+        d, n, preds = topology.feature_dim, topology.node_count, topology.predecessors
+        pure = np.array([i < d and preds[i].size == 0 for i in range(n)])
+        one_shot = [i for i in range(d, n) if pure[preds[i]].all()]
+        settled = set(one_shot)
+        rest = [i for i in range(n) if not pure[i] and i not in settled]
+        compiled = CompiledTopology(_phase(topology, one_shot), _phase(topology, rest))
+        # Idempotent: concurrent first calls store equal tables.
+        topology.compiled = compiled
+    return compiled
+
+
+def _ordered_sum(o: np.ndarray, phase: _Phase) -> np.ndarray:
+    """Per node, the weighted outputs of its predecessors summed in list order.
+
+    Ranks are gathered in blocks of at most ``_BLOCK_TERMS`` terms: a
+    single row takes every rank in one gather, a wide batch one rank at a
+    time, and the gathered terms stay small either way.
+    """
+    total = np.zeros((phase.nodes.size, o.shape[1]))
+    step = max(1, _BLOCK_TERMS // max(1, total.size))
+    for lo in range(0, phase.src.shape[0], step):
+        terms = o[phase.src[lo : lo + step]]
+        terms *= phase.weights[lo : lo + step]
+        for term in terms:
+            total += term
+    return total
+
+
+def _run_chunk(
+    compiled: CompiledTopology, n: int, X: np.ndarray, T: int, trace: bool
+) -> tuple[np.ndarray, list[RoundTrace]]:
+    """Memory signals (M x rows, node-major) and trace of a chunk of rows."""
+    one_shot, rest = compiled.one_shot, compiled.rest
+    B, d = X.shape
+    # Outputs of the last round; row n is the always-zero padding row.
+    o = np.zeros((n + 1, B))
+    o[:d] = X.T
+    first = _ordered_sum(o, one_shot)
+    first = np.where(first > 0.0, first, 0.0)
+
+    h = np.zeros((rest.nodes.size, B))
+    m = np.zeros_like(h)
+    rounds: list[RoundTrace] = []
+    for t in range(1, T + 1):
+        h += _ordered_sum(o, rest)
+        active = h > 0.0
+        out = np.where(active, h, 0.0)
+        h[active] = 0.0
+        m += out
+        if t == 1:
+            o[:d] = 0.0
+            o[one_shot.nodes] = first
+        elif t == 2:
+            o[one_shot.nodes] = 0.0
+        o[rest.nodes] = out
+        if trace:
+            outputs = o[:n, 0].copy()
+            rounds.append(RoundTrace(t, np.flatnonzero(outputs > 0.0), outputs))
+
+    # Every node past the entrances is one-shot or rest; o is reused.
+    o[one_shot.nodes] = first
+    o[rest.nodes] = m
+    return o[d:n], rounds
 
 
 def _run(topology: NetworkTopology, X: np.ndarray, T: int, trace: bool):
-    """Synchronous rounds over a batch; returns (memory B x N, trace|None)."""
+    """Propagate a batch; returns (memory-node signals B x M, trace|None).
+
+    The one-shot phase runs once, then T rounds over the remaining nodes.
+    State is node-major (N x rows), so each rank gathers contiguous rows;
+    rows go through in chunks of at most ``_CHUNK_CELLS`` state cells.
+    """
     global _forward_samples
-    n = topology.node_count
-    d = topology.feature_dim
-    B = X.shape[0]
-    tables = _rank_tables(topology)
-
-    o = np.zeros((B, n))
-    o[:, :d] = X
-    h = np.zeros((B, n))
-    m = np.zeros((B, n))
+    compiled = _compile(topology)
+    n, B = topology.node_count, X.shape[0]
+    step = max(1, _CHUNK_CELLS // (n + 1))
+    m = np.empty((B, topology.memory_node_count))
     rounds: list[RoundTrace] = []
-
-    for t in range(1, T + 1):
-        # Eq-style accumulation: incoming sum in predecessor-list order,
-        # then added to the previous hidden state.
-        incoming = np.zeros((B, n))
-        for nodes, src, w in tables:
-            incoming[:, nodes] = incoming[:, nodes] + o[:, src] * w
-        h = h + incoming
-        active = h > 0.0
-        o = np.where(active, h, 0.0)
-        h = np.where(active, 0.0, h)
-        m = m + o
-        if trace:
-            rounds.append(
-                RoundTrace(t, np.nonzero(active[0])[0].astype(np.int64), o[0].copy())
-            )
-
-    # Entrances receive no edges, so their memory signal is identically 0.
-    assert not m[:, :d].any()
+    for lo in range(0, B, step):
+        signals, chunk_rounds = _run_chunk(
+            compiled, n, X[lo : lo + step], T, trace and lo == 0
+        )
+        m[lo : lo + step] = signals.T
+        rounds += chunk_rounds
     _forward_samples += B
     return m, (PropagationTrace(rounds) if trace else None)
 
@@ -123,8 +227,7 @@ def propagate(topology: NetworkTopology, x, T: int) -> MemorySignalVector:
     if X.shape[0] != 1:
         raise DimensionError("propagate expects a single feature vector")
     m, _ = _run(topology, X, T, trace=False)
-    ids = topology.memory_node_ids
-    return MemorySignalVector(m[0, ids], ids)
+    return MemorySignalVector(m[0], topology.memory_node_ids)
 
 
 def propagate_batch(topology: NetworkTopology, X, T: int) -> np.ndarray:
@@ -133,10 +236,8 @@ def propagate_batch(topology: NetworkTopology, X, T: int) -> np.ndarray:
     if X.ndim != 2:
         raise DimensionError(f"expected a 2-D batch, got shape {X.shape}")
     X = _check_input(topology, X, T)
-    if X.shape[0] == 0:
-        return np.empty((0, topology.memory_node_count))
     m, _ = _run(topology, X, T, trace=False)
-    return m[:, topology.memory_node_ids]
+    return m
 
 
 def propagate_trace(
@@ -145,9 +246,8 @@ def propagate_trace(
     """As propagate, also recording per-round activation snapshots."""
     X = _check_input(topology, np.atleast_1d(np.asarray(x, dtype=np.float64)), T)
     m, tr = _run(topology, X, T, trace=True)
-    ids = topology.memory_node_ids
     assert tr is not None
-    return MemorySignalVector(m[0, ids], ids), tr
+    return MemorySignalVector(m[0], topology.memory_node_ids), tr
 
 
 def reference_propagate(topology: NetworkTopology, x, T: int) -> np.ndarray:

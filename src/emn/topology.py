@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from emn.errors import ConfigError
+
+if TYPE_CHECKING:
+    from emn.propagation import CompiledTopology
 
 
 class NodeKind(enum.Enum):
@@ -57,12 +61,20 @@ class TopologyConfig:
 
 @dataclass
 class NetworkTopology:
-    """Immutable after construction; safe for concurrent reads."""
+    """Safe for concurrent reads.
+
+    The first propagation compiles the edges into rank tables and caches
+    them in ``compiled``; edges must not be mutated after that. The cache
+    write is idempotent, so concurrent first calls stay safe.
+    """
 
     config: TopologyConfig
     node_kinds: list[NodeKind]
     predecessors: list[np.ndarray]  # per node, int64 ids; empty for entrances
     weights: list[np.ndarray]  # per node, float64 aligned with predecessors
+    compiled: CompiledTopology | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def node_count(self) -> int:

@@ -14,7 +14,8 @@ from emn.harness import (
     train_supervised,
 )
 from emn.inference import build_model
-from emn.memory import HyperParams
+from emn.memory import HyperParams, supervised_update
+from emn.propagation import propagate_batch
 from emn.topology import TopologyConfig
 
 
@@ -36,6 +37,24 @@ def _trained(seed=0):
     model = build_model(TopologyConfig(8, 10, 10, 6, seed=seed), 3)
     train_supervised(model, src, shuffle_seed=seed)
     return model, src, tgt
+
+
+class TestTrainSupervised:
+    def test_matches_per_batch_propagation(self):
+        src, _ = _task(3)
+        model, _, _ = _trained(3)
+        expected = build_model(TopologyConfig(8, 10, 10, 6, seed=3), 3)
+        order = np.random.default_rng(3).permutation(src.n_samples)
+        B = expected.hyper.batch_size
+        for lo in range(0, src.n_samples, B):
+            idx = order[lo : lo + B]
+            signals = propagate_batch(
+                expected.topology, src.features[idx], expected.hyper.rounds
+            )
+            supervised_update(expected.store, signals, src.labels[idx])
+        assert np.array_equal(model.store.mu, expected.store.mu)
+        assert np.array_equal(model.store.sigma, expected.store.sigma)
+        assert np.array_equal(model.store.initialized, expected.store.initialized)
 
 
 class TestEvaluate:

@@ -6,6 +6,7 @@ from emn.inference import (
     EmnModel,
     _fuse,
     build_model,
+    fused_posteriors_from_signals,
     predict,
     predict_batch,
 )
@@ -85,6 +86,33 @@ def test_predict_batch_rowwise_and_order():
     model, X, _ = _trained_model(seed=3)
     batch = predict_batch(model, X[:5])
     for b in range(5):
+        single = predict(model, X[b])
+        assert single.label == batch[b].label
+        assert np.array_equal(single.posterior, batch[b].posterior)
+
+
+def test_predict_batch_posteriors_are_own_rows():
+    # a kept Prediction must not pin the whole fused batch matrix
+    model, X, _ = _trained_model(seed=3)
+    batch = predict_batch(model, X[:4])
+    for p in batch:
+        assert p.posterior.base is None
+        assert p.posterior.shape == (3,)
+
+
+def test_batch_spanning_row_chunks_matches_rowwise():
+    # 100 memory nodes x 3 classes: a 500-row batch is retrieved and fused
+    # in several chunks of rows.
+    model = build_model(TopologyConfig(6, 50, 50, 30, seed=2), 3)
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(500, 6)) + np.arange(3).repeat(167)[:500, None]
+    signals = propagate_batch(model.topology, X, model.hyper.rounds)
+    supervised_update(model.store, signals, np.arange(3).repeat(167)[:500])
+    batch = predict_batch(model, X)
+    fused = fused_posteriors_from_signals(model, signals)
+    for b in range(500):
+        assert np.array_equal(batch[b].posterior, fused[b])
+    for b in (0, 217, 218, 499):
         single = predict(model, X[b])
         assert single.label == batch[b].label
         assert np.array_equal(single.posterior, batch[b].posterior)

@@ -196,6 +196,13 @@ class TestNodePosterior:
         p = softmax(np.log(np.array([0.3, 0.1])))
         np.testing.assert_allclose(p, [0.75, 0.25], rtol=1e-12)
 
+    def test_leaves_input_untouched(self):
+        logs = np.array([[-1.0, -2.0, 0.5], [3.0, 3.0, -7.0]])
+        before = logs.copy()
+        p = softmax(logs, axis=1)
+        assert np.array_equal(logs, before)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-12)
+
     def test_sums_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(8)
         for _ in range(200):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from emn.propagation import (
     propagate_trace,
     reference_propagate,
 )
-from emn.topology import TopologyConfig, build_topology
+from emn.topology import NetworkTopology, NodeKind, TopologyConfig, build_topology
 
 
 def test_hand_traced_fixture(tiny_topology):
@@ -110,6 +113,150 @@ def test_oracle_equivalence_random_small_nets():
         got = propagate(t, x, T).signals
         ref = reference_propagate(t, x, T)[t.memory_node_ids]
         assert np.array_equal(got, ref)
+
+
+def _assert_bitwise(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _reference_rows(t, X, T):
+    return np.array([reference_propagate(t, x, T)[t.memory_node_ids] for x in X])
+
+
+def test_batched_oracle_random_small_nets():
+    rng = np.random.default_rng(99)
+    for trial in range(120):
+        d = int(rng.integers(1, 6))
+        h = int(rng.integers(1, 4))
+        b = 0 if trial % 4 == 0 else int(rng.integers(1, 5))
+        indeg = int(rng.integers(1, d + h + b)) if b else 1
+        t = build_topology(TopologyConfig(d, h, b, indeg, seed=trial))
+        X = rng.normal(size=(int(rng.integers(2, 7)), d)) * 3.0
+        for T in range(1, 6):
+            _assert_bitwise(propagate_batch(t, X, T), _reference_rows(t, X, T))
+
+
+SPECIAL_VALUES = [
+    np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0,
+    5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -1.0,
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oracle_special_value_rows():
+    rng = np.random.default_rng(3)
+    t = build_topology(TopologyConfig(6, 4, 5, 4, seed=8))
+    X = rng.normal(size=(40, 6))
+    mask = rng.random(X.shape) < 0.4
+    X[mask] = rng.choice(SPECIAL_VALUES, size=int(mask.sum()))
+    X[0] = [np.nan, np.inf, -np.inf, 1e300, -0.0, 5e-324]
+    for T in (1, 2, 3, 5):
+        _assert_bitwise(propagate_batch(t, X, T), _reference_rows(t, X, T))
+        for x in X[:3]:
+            _assert_bitwise(propagate(t, x, T).signals, _reference_rows(t, [x], T)[0])
+
+
+@pytest.mark.parametrize("d, rows", [(20, 1400), (64, 64), (256, 1)])
+def test_oracle_default_scale(d, rows):
+    # Batch sizes span the engine's chunking: a single row gathers every
+    # rank at once, 64 rows a few ranks at a time, and 1400 rows go through
+    # in several chunks of rows.
+    t = build_topology(TopologyConfig(d, 50, 50, 30, seed=d))
+    X = np.random.default_rng(d).normal(size=(rows, d))
+    got = propagate_batch(t, X, 3)
+    picked = [0, rows // 2, rows - 1]
+    _assert_bitwise(got[picked], _reference_rows(t, X[picked], 3))
+
+
+def _hand_built(preds, weights, d, h, b):
+    kinds = [NodeKind.ENTRANCE] * d + [NodeKind.HUB] * h + [NodeKind.BRIDGING] * b
+    return NetworkTopology(
+        TopologyConfig(d, h, b, 1),
+        kinds,
+        [np.array(p, dtype=np.int64) for p in preds],
+        [np.array(w, dtype=np.float64) for w in weights],
+    )
+
+
+def test_hub_with_bridging_predecessor():
+    # e0, e1; hubs 2, 3; bridging 4. Hub 3 also listens to bridging node 4,
+    # so it must iterate with the bridging nodes instead of settling in the
+    # one-shot phase: it emits 0.5 in round 1 and 1.0 again in round 3.
+    t = _hand_built(
+        [[], [], [0], [1, 4], [2]],
+        [[], [], [1.0], [0.5, 1.0], [1.0]],
+        d=2, h=2, b=1,
+    )
+    sig, trace = propagate_trace(t, [1.0, 1.0], 3)
+    assert sig.signals.tolist() == [1.0, 1.5, 1.0]
+    assert [r.activated.tolist() for r in trace.rounds] == [[2, 3], [4], [3]]
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(6, 2))
+    for T in range(1, 6):
+        _assert_bitwise(propagate_batch(t, X, T), _reference_rows(t, X, T))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oracle_equivalence_arbitrary_edge_sets():
+    # Loaded model documents may carry any edge set: entrances with
+    # predecessors, self-loops, repeated predecessors, ragged in-degrees,
+    # negative ids (which index from the end, as in the scalar oracle).
+    # Non-finite features make any stray 0 * x term visible.
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        d, h, b = (int(v) for v in rng.integers(1, 5, size=3))
+        n = d + h + b
+        preds, weights = [], []
+        for _ in range(n):
+            k = int(rng.integers(0, 6))
+            preds.append(rng.integers(-n, n, size=k))
+            weights.append(rng.uniform(-1.0, 1.0, size=k))
+        t = _hand_built(preds, weights, d, h, b)
+        X = rng.normal(size=(4, d)) * 2.0
+        X[1] = rng.choice(SPECIAL_VALUES, size=d)
+        for T in (1, 2, 4):
+            _assert_bitwise(propagate_batch(t, X, T), _reference_rows(t, X, T))
+            _, trace = propagate_trace(t, X[0], T)
+            assert len(trace.rounds) == T
+
+
+def test_tables_compiled_once_per_topology():
+    t = build_topology(TopologyConfig(8, 4, 4, 3, seed=1))
+    assert t.compiled is None
+    propagate(t, np.ones(8), 3)
+    compiled = t.compiled
+    assert compiled is not None
+    propagate_batch(t, np.ones((3, 8)), 2)
+    assert t.compiled is compiled
+
+
+def test_concurrent_first_propagation():
+    # Threads racing to compile the same topology all get exact results.
+    t = build_topology(TopologyConfig(12, 6, 6, 5, seed=3))
+    X = np.random.default_rng(6).normal(size=(8, 12))
+    expected = _reference_rows(t, X, 3)
+    results = [None] * 8
+    barrier = threading.Barrier(8, timeout=10)
+
+    def worker(i):
+        barrier.wait()
+        results[i] = propagate_batch(t, X, 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got in results:
+        _assert_bitwise(got, expected)
 
 
 def test_positive_homogeneity_default_scale():
