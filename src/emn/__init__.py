@@ -31,12 +31,9 @@ from emn.memory import (
     fuzzy_likelihood,
     init_memory,
     log_fuzzy_likelihood,
-    node_posterior,
-    node_prediction,
     supervised_update,
 )
 from emn.propagation import (
-    MemorySignalVector,
     PropagationTrace,
     propagate,
     propagate_batch,

@@ -15,12 +15,7 @@ import numpy as np
 
 from emn.errors import ConfigError, NotTrainedError
 from emn.inference import EmnModel, labels_from_signals
-from emn.memory import (
-    MemoryStore,
-    _check_batch,
-    log_fuzzy_likelihood,
-    log_plain_likelihood,
-)
+from emn.memory import MemoryStore, _check_batch, log_likelihood
 from emn.propagation import propagate_batch
 
 
@@ -30,7 +25,6 @@ class AdaptationConfig:
     batch_size: int = 64
     beta: float = 0.9
     shuffle_seed: int = 0
-    refresh_per_epoch: bool = True
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -88,15 +82,8 @@ def reinforced_update(
     for k in np.unique(labels):
         rows = signals[labels == k]  # B_k x nodes
         if hyper.confidence_enabled:
-            if hyper.fuzzy_enabled:
-                log_e = log_fuzzy_likelihood(
-                    store.mu[None, :, k], store.sigma[None, :, k], hyper.sigma1, rows
-                )
-            else:
-                log_e = log_plain_likelihood(
-                    store.mu[None, :, k], store.sigma[None, :, k], rows
-                )
-            e = np.exp(log_e)
+            mu, sigma = store.mu[None, :, k], store.sigma[None, :, k]
+            e = np.exp(log_likelihood(hyper, mu, sigma, rows))
         else:
             e = np.ones_like(rows)
 
@@ -147,10 +134,8 @@ def adapt(
 
     history = AdaptationHistory()
     prev_pseudo: np.ndarray | None = None
-    pseudo = None
     for epoch in range(cfg.epochs):
-        if cfg.refresh_per_epoch or pseudo is None:
-            pseudo = labels_from_signals(model, signals) if n else np.empty(0, np.int64)
+        pseudo = labels_from_signals(model, signals) if n else np.empty(0, np.int64)
         if prev_pseudo is not None and n:
             agreement = float(np.mean(pseudo == prev_pseudo))
         else:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage/config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -75,7 +76,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 class Resolver:
-    """Flag value > config-file value > hard default."""
+    """Flag value > config-file value > default.
+
+    Defaults of config dataclasses live on the dataclass only: ``fields``
+    passes on just the options that are set.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -92,13 +97,23 @@ class Resolver:
             return cast(raw)
         return default
 
+    def fields(self, cls, *names: str, **renamed: str) -> dict:
+        """Keyword arguments of dataclass ``cls`` for the options that are
+        set. ``names`` are options named like their field; ``renamed`` maps
+        field to option. A config-file value is cast to the field default's
+        type."""
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        out = {}
+        for field, option in ({n: n for n in names} | renamed).items():
+            value = self.get(option, None, type(defaults[field]))
+            if value is not None:
+                out[field] = value
+        return out
+
 
 def _hyper_from(r: Resolver) -> HyperParams:
     return HyperParams(
-        beta=r.get("beta", 0.9, float),
-        sigma1=r.get("sigma1", 1.0, float),
-        batch_size=r.get("batch_size", 64, int),
-        rounds=r.get("rounds", 3, int),
+        **r.fields(HyperParams, "beta", "sigma1", "batch_size", "rounds"),
         fuzzy_enabled=not r.get("no_fuzzy", False, bool),
         confidence_enabled=not r.get("no_confidence", False, bool),
     )
@@ -106,11 +121,20 @@ def _hyper_from(r: Resolver) -> HyperParams:
 
 def _topo_from(r: Resolver, feature_dim: int) -> TopologyConfig:
     return TopologyConfig(
-        feature_dim=feature_dim,
-        hub_count=r.get("hub", 50, int),
-        bridging_count=r.get("bridging", 50, int),
-        bridging_in_degree=r.get("in_degree", 30, int),
-        seed=r.get("seed", 0, int),
+        feature_dim,
+        **r.fields(
+            TopologyConfig,
+            "seed",
+            hub_count="hub",
+            bridging_count="bridging",
+            bridging_in_degree="in_degree",
+        ),
+    )
+
+
+def _adapt_cfg_from(r: Resolver) -> AdaptationConfig:
+    return AdaptationConfig(
+        **r.fields(AdaptationConfig, "epochs", "batch_size", "beta", shuffle_seed="seed")
     )
 
 
@@ -136,13 +160,16 @@ def _emit(args, text: str) -> None:
 def cmd_synth(args) -> int:
     r = Resolver(args)
     cfg = SynthConfig(
-        class_count=r.get("classes", 3, int),
-        dim=r.get("dim", 20, int),
-        samples_per_class=r.get("samples_per_class", 200, int),
-        class_mean_scale=r.get("mean_scale", 1.0, float),
-        within_class_spread=r.get("spread", 1.0, float),
-        shift_vector_norm=r.get("shift", 1.0, float),
-        seed=r.get("seed", 0, int),
+        **r.fields(
+            SynthConfig,
+            "dim",
+            "samples_per_class",
+            "seed",
+            class_count="classes",
+            class_mean_scale="mean_scale",
+            within_class_spread="spread",
+            shift_vector_norm="shift",
+        )
     )
     source, target = synth_shifted_blobs(cfg)
     write_dataset(source, args.out_source, args.format)
@@ -152,14 +179,13 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     r = Resolver(args)
-    source = read_dataset(args.source, args.format, "source")
+    source = read_dataset(args.source, args.format)
     if source.labels is None:
         raise errors.MissingLabelsError("training data must carry labels")
     class_count = r.get("classes", int(source.labels.max()) + 1, int)
-    model = build_model(
-        _topo_from(r, source.dim), class_count, _hyper_from(r), {"trained_on": "source"}
-    )
-    train_supervised(model, source, shuffle_seed=r.get("seed", 0, int))
+    topo_cfg = _topo_from(r, source.dim)
+    model = build_model(topo_cfg, class_count, _hyper_from(r), {"trained_on": "source"})
+    train_supervised(model, source, shuffle_seed=topo_cfg.seed)
     save_model(model, args.model)
     return 0
 
@@ -167,17 +193,11 @@ def cmd_train(args) -> int:
 def cmd_adapt(args) -> int:
     r = Resolver(args)
     model = load_model(args.model)
-    target = read_dataset(args.target, args.format, "target")
-    cfg = AdaptationConfig(
-        epochs=r.get("epochs", 16, int),
-        batch_size=r.get("batch_size", 64, int),
-        beta=r.get("beta", 0.9, float),
-        shuffle_seed=r.get("seed", 0, int),
-    )
+    target = read_dataset(args.target, args.format)
     history = adapt(
         model,
         target.features,
-        cfg,
+        _adapt_cfg_from(r),
         held_out_labels=target.labels,
         snapshot_dir=args.snapshot_dir,
     )
@@ -252,10 +272,7 @@ def cmd_bench(args) -> int:
     model = load_model(args.model)
     target = read_dataset(args.target, args.format)
     cfg = BenchConfig(
-        repetitions=r.get("repetitions", 5, int),
-        batch_size=r.get("batch_size", 64, int),
-        beta=r.get("beta", 0.9, float),
-        shuffle_seed=r.get("seed", 0, int),
+        **r.fields(BenchConfig, "repetitions", "batch_size", "beta", shuffle_seed="seed")
     )
     report = bench(model, target, cfg)
     lines = [
@@ -277,20 +294,18 @@ def cmd_bench(args) -> int:
 
 def cmd_ablate(args) -> int:
     r = Resolver(args)
-    source = read_dataset(args.source, args.format, "source")
-    target = read_dataset(args.target, args.format, "target")
+    source = read_dataset(args.source, args.format)
+    target = read_dataset(args.target, args.format)
     if source.labels is None or target.labels is None:
         raise errors.MissingLabelsError("ablation requires labeled source and target")
     topo_cfg = _topo_from(r, source.dim)
-    hyper = _hyper_from(r)
-    adapt_cfg = AdaptationConfig(
-        epochs=r.get("epochs", 16, int),
-        batch_size=r.get("batch_size", 64, int),
-        beta=r.get("beta", 0.9, float),
-        shuffle_seed=r.get("seed", 0, int),
-    )
     variants = run_ablation(
-        source, target, topo_cfg, hyper, adapt_cfg, train_seed=r.get("seed", 0, int)
+        source,
+        target,
+        topo_cfg,
+        _hyper_from(r),
+        _adapt_cfg_from(r),
+        train_seed=topo_cfg.seed,
     )
     lines = [
         "variant,fuzzy,confidence,source_accuracy,target_before,"
@@ -319,8 +334,6 @@ def cmd_export_memory(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--format", choices=["csv", "emnf"], default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="batch parallelism hint (propagation is vectorized)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ MODEL_SCHEMA_VERSION = 1
 class FeatureDataset:
     features: np.ndarray  # n x dim, float64
     labels: np.ndarray | None = None  # int64 or None
-    domain_tag: str = ""
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -83,7 +82,7 @@ def write_csv(dataset: FeatureDataset, path) -> None:
             f.write(",".join(row) + "\n")
 
 
-def read_csv(path, domain_tag: str = "") -> FeatureDataset:
+def read_csv(path) -> FeatureDataset:
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
@@ -110,11 +109,7 @@ def read_csv(path, domain_tag: str = "") -> FeatureDataset:
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
     feats = np.array(features, dtype=np.float64).reshape(len(features), dim)
-    return FeatureDataset(
-        feats,
-        np.array(labels, dtype=np.int64) if has_label else None,
-        domain_tag,
-    )
+    return FeatureDataset(feats, np.array(labels, dtype=np.int64) if has_label else None)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ def _read_exact(f, size: int, what: str) -> bytes:
     return data
 
 
-def read_emnf(path, domain_tag: str = "") -> FeatureDataset:
+def read_emnf(path) -> FeatureDataset:
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic bytes")
         if magic != EMNF_MAGIC:
@@ -168,15 +163,15 @@ def read_emnf(path, domain_tag: str = "") -> FeatureDataset:
             labels = np.frombuffer(
                 _read_exact(f, 4 * n, "label payload"), dtype="<i4"
             ).astype(np.int64)
-    return FeatureDataset(feats.astype(np.float64), labels, domain_tag)
+    return FeatureDataset(feats.astype(np.float64), labels)
 
 
-def read_dataset(path, fmt: str | None = None, domain_tag: str = "") -> FeatureDataset:
+def read_dataset(path, fmt: str | None = None) -> FeatureDataset:
     """Read CSV or EMNF; format inferred from the extension when omitted."""
     fmt = fmt or ("emnf" if str(path).endswith(".emnf") else "csv")
     if fmt == "emnf":
-        return read_emnf(path, domain_tag)
-    return read_csv(path, domain_tag)
+        return read_emnf(path)
+    return read_csv(path)
 
 
 def write_dataset(dataset: FeatureDataset, path, fmt: str | None = None) -> None:
@@ -226,17 +221,17 @@ def synth_shifted_blobs(cfg: SynthConfig) -> tuple[FeatureDataset, FeatureDatase
     )
     labels = np.repeat(np.arange(cfg.class_count), cfg.samples_per_class)
 
-    def draw(tag: str, translate) -> FeatureDataset:
+    def draw(translate) -> FeatureDataset:
         noise = rng.normal(
             0.0,
             cfg.within_class_spread,
             size=(cfg.class_count * cfg.samples_per_class, cfg.dim),
         )
         feats = means[labels] + noise + translate
-        return FeatureDataset(feats, labels.copy(), tag)
+        return FeatureDataset(feats, labels.copy())
 
-    source = draw("source", 0.0)
-    target = draw("target", shift)
+    source = draw(0.0)
+    target = draw(shift)
     return source, target
 
 
@@ -249,24 +244,9 @@ def _model_payload(model: EmnModel) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "class_count": model.class_count,
-        "hyper": {
-            "beta": model.hyper.beta,
-            "sigma1": model.hyper.sigma1,
-            "batch_size": model.hyper.batch_size,
-            "rounds": model.hyper.rounds,
-            "fuzzy_enabled": model.hyper.fuzzy_enabled,
-            "confidence_enabled": model.hyper.confidence_enabled,
-            "confidence_normalized": model.hyper.confidence_normalized,
-            "literal_batch_divisor": model.hyper.literal_batch_divisor,
-        },
+        "hyper": asdict(model.hyper),
         "topology": {
-            "config": {
-                "feature_dim": t.config.feature_dim,
-                "hub_count": t.config.hub_count,
-                "bridging_count": t.config.bridging_count,
-                "bridging_in_degree": t.config.bridging_in_degree,
-                "seed": t.config.seed,
-            },
+            "config": asdict(t.config),
             "edges": [p.tolist() for p in t.predecessors],
             "weights": [w.tolist() for w in t.weights],
         },
@@ -304,23 +284,43 @@ def load_model(path) -> EmnModel:
         raise SchemaVersionError(f"{path}: unknown schema version {version}")
 
     tcfg = TopologyConfig(**payload["topology"]["config"])
+    hyper = HyperParams(**payload["hyper"])
+    try:
+        tcfg.validate()
+        hyper.validate()
+    except ConfigError as exc:
+        raise IntegrityError(f"{path}: {exc}") from None
+
     d, h, b = tcfg.feature_dim, tcfg.hub_count, tcfg.bridging_count
+    n = d + h + b
+    edges, weights = payload["topology"]["edges"], payload["topology"]["weights"]
+    if len(edges) != n or len(weights) != n:
+        raise IntegrityError(f"{path}: edge and weight lists must cover {n} nodes")
+    preds = [np.array(p, dtype=np.int64) for p in edges]
+    weights = [np.array(w, dtype=np.float64) for w in weights]
+    for i, (p, w) in enumerate(zip(preds, weights)):
+        if p.ndim != 1 or p.shape != w.shape:
+            raise IntegrityError(f"{path}: node {i}: edges and weights misaligned")
+        if p.size and (p.min() < 0 or p.max() >= n):
+            raise IntegrityError(f"{path}: node {i}: edge id outside [0, {n})")
     kinds = [NodeKind.ENTRANCE] * d + [NodeKind.HUB] * h + [NodeKind.BRIDGING] * b
-    preds = [np.array(p, dtype=np.int64) for p in payload["topology"]["edges"]]
-    weights = [np.array(w, dtype=np.float64) for w in payload["topology"]["weights"]]
     topology = NetworkTopology(tcfg, kinds, preds, weights)
 
-    hyper = HyperParams(**payload["hyper"])
+    class_count = payload["class_count"]
     mem = payload["memory"]
-    store = MemoryStore(
-        mu=np.array(mem["mu"], dtype=np.float64),
-        sigma=np.array(mem["sigma"], dtype=np.float64),
-        initialized=np.array(mem["initialized"], dtype=bool),
-        class_count=payload["class_count"],
-        hyper=hyper,
-    )
+    arrays = {
+        "mu": np.array(mem["mu"], dtype=np.float64),
+        "sigma": np.array(mem["sigma"], dtype=np.float64),
+        "initialized": np.array(mem["initialized"], dtype=bool),
+    }
+    for name, a in arrays.items():
+        if a.shape != (h + b, class_count):
+            raise IntegrityError(
+                f"{path}: memory {name} must be shaped ({h + b}, {class_count})"
+            )
+    store = MemoryStore(**arrays, class_count=class_count, hyper=hyper)
     return EmnModel(
-        topology, store, payload["class_count"], hyper, dict(payload.get("metadata", {}))
+        topology, store, class_count, hyper, dict(payload.get("metadata", {}))
     )
 
 

@@ -14,6 +14,7 @@ from emn.dataio import FeatureDataset
 from emn.errors import (
     ClassCountMismatch,
     DimensionError,
+    LabelRangeError,
     MissingLabelsError,
     UsageError,
 )
@@ -30,23 +31,28 @@ class EvalReport:
     per_class_accuracy: np.ndarray
 
 
-def evaluate(model: EmnModel, dataset: FeatureDataset) -> EvalReport:
-    """Accuracy and confusion matrix of the model on a labeled dataset."""
-    if dataset.labels is None:
+def _report(dataset: FeatureDataset, class_count: int, predict) -> EvalReport:
+    """Accuracy and confusion matrix of ``predict`` (features -> labels) on
+    a dataset whose labels must lie in [0, class_count)."""
+    labels = dataset.labels
+    if labels is None:
         raise MissingLabelsError("evaluation requires labels")
-    if dataset.labels.size and int(dataset.labels.max()) >= model.class_count:
-        raise ClassCountMismatch(
-            f"dataset labels exceed model class count {model.class_count}"
-        )
-    preds = pseudo_label(model, dataset.features)
-    C = model.class_count
-    confusion = np.zeros((C, C), dtype=np.int64)
-    np.add.at(confusion, (dataset.labels, preds), 1)
+    if labels.size and labels.min() < 0:
+        raise LabelRangeError("labels must be non-negative")
+    if labels.size and labels.max() >= class_count:
+        raise ClassCountMismatch(f"dataset labels exceed class count {class_count}")
+    preds = predict(dataset.features)
+    confusion = np.zeros((class_count, class_count), dtype=np.int64)
+    np.add.at(confusion, (labels, preds), 1)
     totals = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1), 0.0)
+    per_class = np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1), 0.0)
     accuracy = float(np.trace(confusion) / max(1, dataset.n_samples))
     return EvalReport(accuracy, confusion, per_class)
+
+
+def evaluate(model: EmnModel, dataset: FeatureDataset) -> EvalReport:
+    """Accuracy and confusion matrix of the model on a labeled dataset."""
+    return _report(dataset, model.class_count, lambda X: pseudo_label(model, X))
 
 
 @dataclass(frozen=True)
@@ -152,8 +158,8 @@ class GnbModel:
 
 
 def baseline_gnb_train(dataset: FeatureDataset) -> GnbModel:
-    if dataset.labels is None:
-        raise MissingLabelsError("GNB training requires labels")
+    if dataset.labels is None or not dataset.labels.size:
+        raise MissingLabelsError("GNB training requires labeled rows")
     C = int(dataset.labels.max()) + 1
     dim = dataset.dim
     mu = np.zeros((C, dim))
@@ -167,26 +173,17 @@ def baseline_gnb_train(dataset: FeatureDataset) -> GnbModel:
 
 
 def baseline_gnb_eval(model: GnbModel, dataset: FeatureDataset) -> EvalReport:
-    if dataset.labels is None:
-        raise MissingLabelsError("GNB evaluation requires labels")
-    if int(dataset.labels.max()) >= model.class_count:
-        raise ClassCountMismatch("dataset labels exceed baseline class count")
     if dataset.dim != model.mu.shape[1]:
         raise DimensionError("feature dimension mismatch")
-    x = dataset.features[:, None, :]  # n x 1 x dim
-    log_lik = (
-        -0.5 * np.log(2.0 * np.pi * model.var)[None]
-        - (x - model.mu[None]) ** 2 / (2.0 * model.var)[None]
-    ).sum(axis=2)
-    preds = np.argmax(log_lik, axis=1)
-    C = model.class_count
-    confusion = np.zeros((C, C), dtype=np.int64)
-    np.add.at(confusion, (dataset.labels, preds), 1)
-    totals = confusion.sum(axis=1)
-    per_class = np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1), 0.0)
-    return EvalReport(
-        float(np.trace(confusion) / max(1, dataset.n_samples)), confusion, per_class
-    )
+
+    def predict(X):
+        log_lik = (
+            -0.5 * np.log(2.0 * np.pi * model.var)[None]
+            - (X[:, None, :] - model.mu[None]) ** 2 / (2.0 * model.var)[None]
+        ).sum(axis=2)
+        return np.argmax(log_lik, axis=1)
+
+    return _report(dataset, model.class_count, predict)
 
 
 # ---------------------------------------------------------------------------

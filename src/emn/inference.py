@@ -4,6 +4,11 @@ Every memory-bearing node votes with its class posterior, weighted by the
 likelihood of its observed memory signal under its own predicted class.
 The fused posterior is the convex combination of node posteriors; ties in
 the argmax break toward the lowest class index.
+
+One kernel serves every caller: ``batch_node_votes`` retrieves the node
+votes of a chunk of rows and ``fused_posteriors_from_signals`` fuses them
+chunk by chunk. ``predict_batch``, pseudo labels, evaluation and
+adaptation all read their posteriors and labels from it.
 """
 
 from __future__ import annotations
@@ -47,18 +52,9 @@ class EmnModel:
 
 
 @dataclass(frozen=True)
-class NodeDetail:
-    node_id: int
-    label: int
-    confidence: float
-    posterior: np.ndarray
-
-
-@dataclass(frozen=True)
 class Prediction:
     label: int
     posterior: np.ndarray
-    node_details: list[NodeDetail] | None = None
 
 
 # (row, node, class) cells retrieved per chunk of rows; bounds the
@@ -118,9 +114,7 @@ def labels_from_signals(model: EmnModel, signals: np.ndarray) -> np.ndarray:
     return np.argmax(fused, axis=1).astype(np.int64)
 
 
-def predict_batch(
-    model: EmnModel, X, with_details: bool = False
-) -> list[Prediction]:
+def predict_batch(model: EmnModel, X) -> list[Prediction]:
     """Rowwise prediction; order preserved, model left untouched."""
     if not model.trained:
         raise NotTrainedError("model has uninitialized memory units")
@@ -128,30 +122,13 @@ def predict_batch(
     if X.ndim != 2:
         raise DimensionError(f"expected a 2-D batch, got shape {X.shape}")
     signals = propagate_batch(model.topology, X, model.hyper.rounds)
-    node_ids = model.topology.memory_node_ids
-    out = []
-    for rows in _row_chunks(model, signals):
-        posteriors, labels, confidences = batch_node_votes(model, signals[rows])
-        fused = _fuse(posteriors, confidences)
-        for b in range(fused.shape[0]):
-            details = None
-            if with_details:
-                details = [
-                    NodeDetail(
-                        int(node_ids[i]),
-                        int(labels[b, i]),
-                        float(confidences[b, i]),
-                        posteriors[b, i],
-                    )
-                    for i in range(len(node_ids))
-                ]
-            # A copy, so a kept Prediction does not pin the whole chunk.
-            out.append(Prediction(int(np.argmax(fused[b])), fused[b].copy(), details))
-    return out
+    fused = fused_posteriors_from_signals(model, signals)
+    # A copy, so a kept Prediction does not pin the whole matrix.
+    return [Prediction(int(np.argmax(row)), row.copy()) for row in fused]
 
 
-def predict(model: EmnModel, x, with_details: bool = False) -> Prediction:
+def predict(model: EmnModel, x) -> Prediction:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.ndim != 1:
         raise DimensionError("predict expects a single feature vector")
-    return predict_batch(model, x[None, :], with_details=with_details)[0]
+    return predict_batch(model, x[None, :])[0]

@@ -7,8 +7,10 @@ class density and its blurred variant.
 
 Updates are batch EMAs with temperature beta; the first update of a
 (node, class) pair bypasses the EMA since no prior statistics exist.
-Retrieval works in log space and underflowing confidences are floored at
-the smallest positive normal double.
+Retrieval works in log space: ``log_likelihood`` is the one dispatch
+between the blurred and the plain class density, used both by
+``store_log_likelihoods`` (every node and class of a batch of rows, the
+input of fusion in ``emn.inference``) and by the reinforced update.
 """
 
 from __future__ import annotations
@@ -52,19 +54,6 @@ class HyperParams:
 
 
 @dataclass
-class GaussianClassMemory:
-    """One node's memory: per-class mu, sigma, and initialization flags.
-
-    Arrays are views into the owning store; mutating them mutates the
-    store.
-    """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    initialized: np.ndarray
-
-
-@dataclass
 class MemoryStore:
     mu: np.ndarray  # nodes x classes
     sigma: np.ndarray  # nodes x classes
@@ -75,11 +64,6 @@ class MemoryStore:
     @property
     def node_count(self) -> int:
         return self.mu.shape[0]
-
-    def unit(self, node_index: int) -> GaussianClassMemory:
-        return GaussianClassMemory(
-            self.mu[node_index], self.sigma[node_index], self.initialized[node_index]
-        )
 
     def copy(self) -> "MemoryStore":
         return MemoryStore(
@@ -195,12 +179,11 @@ def log_plain_likelihood(mu, sigma, m_hat):
     return out if out.ndim else float(out)
 
 
-def class_log_likelihoods(unit: GaussianClassMemory, m_hat: float, hyper: HyperParams):
-    if not unit.initialized.all():
-        raise NotTrainedError("memory unit has uninitialized classes")
+def log_likelihood(hyper: HyperParams, mu, sigma, m_hat):
+    """Class log likelihood of memory signals: blurred when fuzzy is on."""
     if hyper.fuzzy_enabled:
-        return log_fuzzy_likelihood(unit.mu, unit.sigma, hyper.sigma1, m_hat)
-    return log_plain_likelihood(unit.mu, unit.sigma, m_hat)
+        return log_fuzzy_likelihood(mu, sigma, hyper.sigma1, m_hat)
+    return log_plain_likelihood(mu, sigma, m_hat)
 
 
 def softmax(log_values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -210,36 +193,9 @@ def softmax(log_values: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def node_posterior(
-    unit: GaussianClassMemory, m_hat: float, hyper: HyperParams
-) -> np.ndarray:
-    """Per-class posterior on one node: softmax of class log likelihoods."""
-    return softmax(class_log_likelihoods(unit, m_hat, hyper))
-
-
-def node_prediction(
-    unit: GaussianClassMemory, m_hat: float, hyper: HyperParams
-) -> tuple[int, float]:
-    """Most likely class on one node and the likelihood-based confidence.
-
-    Ties break toward the lowest class index; an underflowing confidence
-    is floored at the smallest positive normal.
-    """
-    log_lik = class_log_likelihoods(unit, m_hat, hyper)
-    post = softmax(log_lik)
-    k = int(np.argmax(post))
-    c = max(float(np.exp(log_lik[k])), CONFIDENCE_FLOOR)
-    return k, c
-
-
 def store_log_likelihoods(store: MemoryStore, signals: np.ndarray) -> np.ndarray:
     """Vectorized class log likelihoods: B x nodes x classes."""
     if not store.fully_initialized:
         raise NotTrainedError("memory store has uninitialized (node, class) pairs")
-    signals = np.asarray(signals, dtype=np.float64)
-    m = signals[:, :, None]
-    if store.hyper.fuzzy_enabled:
-        return log_fuzzy_likelihood(
-            store.mu[None], store.sigma[None], store.hyper.sigma1, m
-        )
-    return log_plain_likelihood(store.mu[None], store.sigma[None], m)
+    m = np.asarray(signals, dtype=np.float64)[:, :, None]
+    return log_likelihood(store.hyper, store.mu[None], store.sigma[None], m)

@@ -41,14 +41,6 @@ def reset_forward_sample_count() -> None:
 
 
 @dataclass(frozen=True)
-class MemorySignalVector:
-    """Steady memory signals for the hub+bridging nodes of one instance."""
-
-    signals: np.ndarray  # float64, length = memory node count
-    node_ids: np.ndarray  # aligned topology node ids
-
-
-@dataclass(frozen=True)
 class RoundTrace:
     round_index: int  # 1-based
     activated: np.ndarray  # node ids emitting this round
@@ -221,13 +213,14 @@ def _check_input(topology: NetworkTopology, X: np.ndarray, T: int) -> np.ndarray
     return X
 
 
-def propagate(topology: NetworkTopology, x, T: int) -> MemorySignalVector:
-    """Steady memory signals of the hub+bridging nodes for one instance."""
+def propagate(topology: NetworkTopology, x, T: int) -> np.ndarray:
+    """Steady memory signals of the hub+bridging nodes for one instance,
+    aligned with ``topology.memory_node_ids``."""
     X = _check_input(topology, np.atleast_1d(np.asarray(x, dtype=np.float64)), T)
     if X.shape[0] != 1:
         raise DimensionError("propagate expects a single feature vector")
     m, _ = _run(topology, X, T, trace=False)
-    return MemorySignalVector(m[0], topology.memory_node_ids)
+    return m[0]
 
 
 def propagate_batch(topology: NetworkTopology, X, T: int) -> np.ndarray:
@@ -242,12 +235,12 @@ def propagate_batch(topology: NetworkTopology, X, T: int) -> np.ndarray:
 
 def propagate_trace(
     topology: NetworkTopology, x, T: int
-) -> tuple[MemorySignalVector, PropagationTrace]:
+) -> tuple[np.ndarray, PropagationTrace]:
     """As propagate, also recording per-round activation snapshots."""
     X = _check_input(topology, np.atleast_1d(np.asarray(x, dtype=np.float64)), T)
     m, tr = _run(topology, X, T, trace=True)
     assert tr is not None
-    return MemorySignalVector(m[0], topology.memory_node_ids), tr
+    return m[0], tr
 
 
 def reference_propagate(topology: NetworkTopology, x, T: int) -> np.ndarray:

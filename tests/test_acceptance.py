@@ -20,7 +20,9 @@ from emn.dataio import SynthConfig, load_model, save_model, synth_shifted_blobs
 from emn.harness import BenchConfig, bench, evaluate, run_ablation, train_supervised
 from emn.inference import (
     EmnModel,
+    batch_node_votes,
     build_model,
+    fused_posteriors_from_signals,
     predict,
     predict_batch,
 )
@@ -33,7 +35,12 @@ from emn.memory import (
     supervised_update,
 )
 from emn.adaptation import reinforced_update
-from emn.propagation import propagate, propagate_trace, reference_propagate
+from emn.propagation import (
+    propagate,
+    propagate_batch,
+    propagate_trace,
+    reference_propagate,
+)
 from emn.topology import TopologyConfig, build_topology
 
 PINNED_TASK = dict(
@@ -70,7 +77,7 @@ def test_01_propagation_oracle_equivalence():
         t = build_topology(TopologyConfig(d, h, b, indeg, seed=int(rng.integers(2**32))))
         T = int(rng.integers(1, 5))
         x = rng.normal(size=d) * 3.0
-        got = propagate(t, x, T).signals
+        got = propagate(t, x, T)
         ref = reference_propagate(t, x, T)[t.memory_node_ids]
         assert np.array_equal(got, ref)
     elapsed = time.perf_counter() - start
@@ -88,8 +95,8 @@ def test_02_positive_homogeneity_default_scale():
         )
         x = rng.normal(size=64) * rng.uniform(0.1, 5.0)
         c = float(rng.uniform(1e-3, 1e3))
-        base = propagate(t, x, 3).signals
-        scaled = propagate(t, c * x, 3).signals
+        base = propagate(t, x, 3)
+        scaled = propagate(t, c * x, 3)
         np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-300)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -98,7 +105,7 @@ def test_02_positive_homogeneity_default_scale():
 
 def test_03_hand_traced_fixture(tiny_topology):
     sig, trace = propagate_trace(tiny_topology, [1.0, 2.0], 3)
-    assert sig.signals.tolist() == [0.4, 0.6]
+    assert sig.tolist() == [0.4, 0.6]
     assert trace.rounds[0].activated.tolist() == [2, 3]
     assert trace.rounds[1].activated.size == 0
     assert trace.rounds[2].activated.size == 0
@@ -138,12 +145,14 @@ def test_05_posterior_normalization_and_envelope():
         assert abs(p.sum() - 1.0) < 1e-12
     # fused posterior envelope on trained models
     model, src, tgt = _pipeline(42)
-    preds = predict_batch(model, tgt.features[:200], with_details=True)
-    for p in preds:
-        assert abs(p.posterior.sum() - 1.0) < 1e-12
-        node_post = np.stack([d.posterior for d in p.node_details])
-        assert np.all(p.posterior >= node_post.min(axis=0) - 1e-12)
-        assert np.all(p.posterior <= node_post.max(axis=0) + 1e-12)
+    signals = propagate_batch(model.topology, tgt.features[:200], model.hyper.rounds)
+    node_posteriors, _, _ = batch_node_votes(model, signals)
+    for p, node_post in zip(
+        fused_posteriors_from_signals(model, signals), node_posteriors
+    ):
+        assert abs(p.sum() - 1.0) < 1e-12
+        assert np.all(p >= node_post.min(axis=0) - 1e-12)
+        assert np.all(p <= node_post.max(axis=0) + 1e-12)
     _passed(5, "posterior sums within 1e-12 over 10,000 cases; fused posterior "
                "inside the node envelope")
 

@@ -143,6 +143,46 @@ def test_exit_code_model_error(task_files, tmp_path, capsys):
     assert code == 4
 
 
+def test_exit_code_model_error_for_bad_edge_id(task_files, model_file, capsys):
+    import zlib
+
+    _, tgt = task_files
+    doc = json.loads(model_file.read_text())
+    doc["payload"]["topology"]["edges"][-1][0] = 999
+    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["crc32"] = zlib.crc32(canonical.encode("utf-8"))
+    model_file.write_text(json.dumps(doc))
+    code, _, err = _run(
+        capsys, "predict", "--model", str(model_file), "--target", str(tgt)
+    )
+    assert code == 4
+    assert "edge id" in err
+
+
+def test_eval_baseline_gnb_on_empty_target(task_files, model_file, tmp_path, capsys):
+    src, _ = task_files
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(f"f{i}" for i in range(8)) + ",label\n")
+    code, out, _ = _run(
+        capsys, "eval", "--model", str(model_file), "--target", str(empty),
+        "--baseline-gnb", "--source", str(src),
+    )
+    assert code == 0
+    assert "accuracy,0.0" in out
+    assert "baseline_gnb_accuracy,0.0" in out
+
+
+def test_eval_negative_label_is_a_data_error(model_file, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    header = ",".join(f"f{i}" for i in range(8)) + ",label\n"
+    bad.write_text(header + "0.0," * 8 + "-1\n")
+    code, _, err = _run(
+        capsys, "eval", "--model", str(model_file), "--target", str(bad)
+    )
+    assert code == 3
+    assert "non-negative" in err
+
+
 def test_config_file_defaults_overridden_by_flags(tmp_path, capsys):
     src = tmp_path / "source.csv"
     tgt = tmp_path / "target.csv"

@@ -197,6 +197,49 @@ class TestModelDocument:
             load_model(path)
 
 
+def _resave(path, mutate):
+    """Apply ``mutate`` to a saved document's payload and re-checksum it."""
+    import zlib
+
+    doc = json.loads(path.read_text())
+    mutate(doc["payload"])
+    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["crc32"] = zlib.crc32(canonical.encode("utf-8"))
+    path.write_text(json.dumps(doc))
+
+
+def _set_edge(node, slot, value):
+    def mutate(payload):
+        payload["topology"]["edges"][node][slot] = value
+
+    return mutate
+
+
+STRUCTURE_FAULTS = {
+    "negative edge id": _set_edge(-1, 0, -3),
+    "edge id past the end": _set_edge(-1, 0, 999),
+    "edge list short": lambda p: p["topology"]["edges"].pop(),
+    "weight list short": lambda p: p["topology"]["weights"].pop(),
+    "edges and weights misaligned": lambda p: p["topology"]["weights"][-1].pop(),
+    "mu short a node": lambda p: p["memory"]["mu"].pop(),
+    "sigma short a class": lambda p: [row.pop() for row in p["memory"]["sigma"]],
+    "initialized flat": lambda p: p["memory"].update(initialized=[1, 1]),
+    "class count off": lambda p: p.update(class_count=3),
+    "beta out of range": lambda p: p["hyper"].update(beta=5.0),
+    "topology config invalid": lambda p: p["topology"]["config"].update(hub_count=0),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STRUCTURE_FAULTS))
+def test_structurally_bad_document_is_an_integrity_error(tmp_path, fault):
+    path = tmp_path / "model.json"
+    save_model(_trained_model(), path)
+    load_model(path)
+    _resave(path, STRUCTURE_FAULTS[fault])
+    with pytest.raises(IntegrityError):
+        load_model(path)
+
+
 def test_memory_csv_layout(tmp_path):
     model = _trained_model()
     path = tmp_path / "memory.csv"

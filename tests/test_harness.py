@@ -3,7 +3,12 @@ import pytest
 
 from emn.adaptation import AdaptationConfig
 from emn.dataio import FeatureDataset, SynthConfig, synth_shifted_blobs
-from emn.errors import ClassCountMismatch, MissingLabelsError, UsageError
+from emn.errors import (
+    ClassCountMismatch,
+    LabelRangeError,
+    MissingLabelsError,
+    UsageError,
+)
 from emn.harness import (
     BenchConfig,
     baseline_gnb_eval,
@@ -93,6 +98,14 @@ class TestEvaluate:
         with pytest.raises(ClassCountMismatch):
             evaluate(model, bad)
 
+    def test_negative_label_rejected(self):
+        # -1 would otherwise be counted as class C-1
+        model, src, _ = _trained(4)
+        labels = src.labels.copy()
+        labels[0] = -1
+        with pytest.raises(LabelRangeError):
+            evaluate(model, FeatureDataset(src.features, labels))
+
 
 class TestBench:
     def test_report_structure_and_ratio(self):
@@ -133,6 +146,25 @@ class TestGnbBaseline:
         model = baseline_gnb_train(ds)
         acc = baseline_gnb_eval(model, ds).accuracy
         assert abs(acc - 1 / 3) < 0.1
+
+    def test_empty_dataset(self):
+        src, _ = _task(9)
+        model = baseline_gnb_train(src)
+        empty = FeatureDataset(np.empty((0, src.dim)), np.empty(0, dtype=int))
+        report = baseline_gnb_eval(model, empty)
+        assert report.accuracy == 0.0
+        assert report.confusion.sum() == 0
+        with pytest.raises(MissingLabelsError):
+            baseline_gnb_train(empty)
+
+    def test_negative_label_rejected(self):
+        src, _ = _task(9)
+        labels = src.labels.copy()
+        labels[-1] = -1
+        with pytest.raises(LabelRangeError):
+            baseline_gnb_eval(
+                baseline_gnb_train(src), FeatureDataset(src.features, labels)
+            )
 
     def test_deterministic(self):
         src, _ = _task(9)

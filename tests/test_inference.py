@@ -5,6 +5,7 @@ from emn.errors import DimensionError, NotTrainedError
 from emn.inference import (
     EmnModel,
     _fuse,
+    batch_node_votes,
     build_model,
     fused_posteriors_from_signals,
     predict,
@@ -51,10 +52,13 @@ def test_identical_posteriors_fuse_to_themselves():
 
 def test_fused_posterior_is_convex_combination():
     model, X, _ = _trained_model()
-    preds = predict_batch(model, X[:10], with_details=True)
-    for p in preds:
+    signals = propagate_batch(model.topology, X[:10], model.hyper.rounds)
+    node_posteriors, _, _ = batch_node_votes(model, signals)
+    fused = fused_posteriors_from_signals(model, signals)
+    preds = predict_batch(model, X[:10])
+    for p, f, node_post in zip(preds, fused, node_posteriors):
+        assert np.array_equal(p.posterior, f)
         assert abs(p.posterior.sum() - 1.0) < 1e-12
-        node_post = np.stack([d.posterior for d in p.node_details])
         assert np.all(p.posterior >= node_post.min(axis=0) - 1e-12)
         assert np.all(p.posterior <= node_post.max(axis=0) + 1e-12)
         assert p.label == int(np.argmax(p.posterior))
@@ -147,11 +151,12 @@ def test_dimension_error():
 
 def test_uniform_fusion_when_confidence_disabled():
     model, X, _ = _trained_model(seed=7, confidence_enabled=False)
-    preds = predict_batch(model, X[:3], with_details=True)
-    for p in preds:
-        node_post = np.stack([d.posterior for d in p.node_details])
-        np.testing.assert_allclose(p.posterior, node_post.mean(axis=0), rtol=1e-9)
-        assert all(d.confidence == 1.0 for d in p.node_details)
+    signals = propagate_batch(model.topology, X[:3], model.hyper.rounds)
+    node_posteriors, _, confidences = batch_node_votes(model, signals)
+    fused = fused_posteriors_from_signals(model, signals)
+    for f, node_post in zip(fused, node_posteriors):
+        np.testing.assert_allclose(f, node_post.mean(axis=0), rtol=1e-9)
+    assert np.all(confidences == 1.0)
 
 
 def test_store_size_mismatch_rejected():

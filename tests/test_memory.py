@@ -6,19 +6,34 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from emn.errors import ConfigError, DimensionError, LabelRangeError, NotTrainedError
+from emn.inference import batch_node_votes, build_model
 from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
     fuzzy_likelihood,
     init_memory,
     log_fuzzy_likelihood,
-    node_posterior,
-    node_prediction,
     softmax,
     supervised_update,
 )
+from emn.topology import TopologyConfig
 
 Q0 = 1.0 / (2.0 * math.sqrt(3.0))  # fuzzy_likelihood(0, 1, 1, 0)
+
+
+def _node(mu, sigma, **hyper):
+    """One-node model (one entrance feeding one hub) with the given memory."""
+    model = build_model(TopologyConfig(1, 1, 0), len(mu), HyperParams(**hyper))
+    model.store.mu[0] = mu
+    model.store.sigma[0] = sigma
+    model.store.initialized[:] = True
+    return model
+
+
+def _vote(model, m_hat):
+    """Posterior, label and confidence of a one-node model's node."""
+    posteriors, labels, confidences = batch_node_votes(model, np.array([[m_hat]]))
+    return posteriors[0, 0], int(labels[0, 0]), float(confidences[0, 0])
 
 
 class TestInit:
@@ -27,7 +42,7 @@ class TestInit:
         assert store.mu.shape == (100, 31)
         assert not store.initialized.any()
         with pytest.raises(NotTrainedError):
-            node_posterior(store.unit(0), 0.0, store.hyper)
+            batch_node_votes(build_model(TopologyConfig(1, 1, 0), 31), np.zeros((1, 1)))
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -171,20 +186,10 @@ class TestLogFuzzyLikelihood:
         assert got == pytest.approx(math.log(Q0) - 10000.0 / 3.0, rel=1e-12)
 
 
-def _unit(mu, sigma):
-    store = init_memory(1, len(mu))
-    store.mu[0] = mu
-    store.sigma[0] = sigma
-    store.initialized[:] = True
-    return store.unit(0), store.hyper
-
-
 class TestNodePosterior:
     def test_identical_classes_give_uniform(self):
-        unit, hyper = _unit([2.0, 2.0, 2.0], [0.5, 0.5, 0.5])
-        np.testing.assert_allclose(
-            node_posterior(unit, 1.0, hyper), np.full(3, 1 / 3), rtol=1e-12
-        )
+        posterior, _, _ = _vote(_node([2.0, 2.0, 2.0], [0.5, 0.5, 0.5]), 1.0)
+        np.testing.assert_allclose(posterior, np.full(3, 1 / 3), rtol=1e-12)
 
     def test_softmax_fixture(self):
         p = softmax(np.array([-1.0, -2.0]))
@@ -212,15 +217,13 @@ class TestNodePosterior:
             np.testing.assert_allclose(p, softmax(logs + 123.4), rtol=1e-9)
 
     def test_requires_initialization(self):
-        store = init_memory(1, 2)
-        store.initialized[0, 0] = True
+        model = build_model(TopologyConfig(1, 1, 0), 2)
+        model.store.initialized[0, 0] = True
         with pytest.raises(NotTrainedError):
-            node_posterior(store.unit(0), 0.0, store.hyper)
+            batch_node_votes(model, np.zeros((1, 1)))
 
     def test_plain_density_when_fuzzy_disabled(self):
-        unit, _ = _unit([0.0, 4.0], [1.0, 1.0])
-        hyper = HyperParams(fuzzy_enabled=False)
-        p = node_posterior(unit, 0.0, hyper)
+        p, _, _ = _vote(_node([0.0, 4.0], [1.0, 1.0], fuzzy_enabled=False), 0.0)
         # class 0 log density -0.5 ln(2 pi); class 1 adds -16/2
         expected = softmax(np.array([0.0, -8.0]))
         np.testing.assert_allclose(p, expected, rtol=1e-12)
@@ -228,19 +231,16 @@ class TestNodePosterior:
 
 class TestNodePrediction:
     def test_argmax_and_confidence(self):
-        unit, hyper = _unit([0.0, 3.0], [1.0, 1.0])
-        k, c = node_prediction(unit, 0.0, hyper)
+        _, k, c = _vote(_node([0.0, 3.0], [1.0, 1.0]), 0.0)
         assert k == 0
         assert c == pytest.approx(fuzzy_likelihood(0.0, 1.0, 1.0, 0.0), rel=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
-        unit, hyper = _unit([1.0, 1.0], [0.5, 0.5])
-        k, _ = node_prediction(unit, 7.0, hyper)
+        _, k, _ = _vote(_node([1.0, 1.0], [0.5, 0.5]), 7.0)
         assert k == 0
 
     def test_confidence_floored_not_zero(self):
-        unit, hyper = _unit([0.0, 1.0], [0.1, 0.1])
-        k, c = node_prediction(unit, 1e6, hyper)
+        _, k, c = _vote(_node([0.0, 1.0], [0.1, 0.1]), 1e6)
         assert c == CONFIDENCE_FLOOR
         assert c > 0.0
 
@@ -255,9 +255,6 @@ class TestBlurConsistency:
             ([3.0, 0.5], [2.0, 0.1], 0.7),
         ]
         for mu, sigma, m in cases:
-            unit, _ = _unit(mu, sigma)
-            plain = node_posterior(unit, m, HyperParams(fuzzy_enabled=False))
-            fuzzy = node_posterior(
-                unit, m, HyperParams(fuzzy_enabled=True, sigma1=1e-9)
-            )
+            plain, _, _ = _vote(_node(mu, sigma, fuzzy_enabled=False), m)
+            fuzzy, _, _ = _vote(_node(mu, sigma, fuzzy_enabled=True, sigma1=1e-9), m)
             assert int(np.argmax(plain)) == int(np.argmax(fuzzy))

@@ -18,8 +18,8 @@ from emn.topology import NetworkTopology, NodeKind, TopologyConfig, build_topolo
 
 def test_hand_traced_fixture(tiny_topology):
     sig = propagate(tiny_topology, [1.0, 2.0], 3)
-    assert sig.signals.tolist() == [0.4, 0.6]
-    assert sig.node_ids.tolist() == [2, 3]
+    assert sig.tolist() == [0.4, 0.6]
+    assert tiny_topology.memory_node_ids.tolist() == [2, 3]
 
 
 def test_hand_traced_hidden_state(tiny_topology):
@@ -33,13 +33,13 @@ def test_hand_traced_hidden_state(tiny_topology):
 
 
 def test_zero_input(tiny_topology):
-    assert propagate(tiny_topology, [0.0, 0.0], 3).signals.tolist() == [0.0, 0.0]
+    assert propagate(tiny_topology, [0.0, 0.0], 3).tolist() == [0.0, 0.0]
     _, trace = propagate_trace(tiny_topology, [0.0, 0.0], 3)
     assert all(r.activated.size == 0 for r in trace.rounds)
 
 
 def test_scaled_input(tiny_topology):
-    assert propagate(tiny_topology, [2.0, 4.0], 3).signals.tolist() == [0.8, 1.2]
+    assert propagate(tiny_topology, [2.0, 4.0], 3).tolist() == [0.8, 1.2]
 
 
 def test_trace_length_is_round_count(tiny_topology):
@@ -53,7 +53,7 @@ def test_batch_matches_rowwise(tiny_topology):
     out = propagate_batch(tiny_topology, X, 3)
     assert out.tolist() == [[0.4, 0.6], [0.8, 1.2]]
     for b in range(2):
-        assert np.array_equal(out[b], propagate(tiny_topology, X[b], 3).signals)
+        assert np.array_equal(out[b], propagate(tiny_topology, X[b], 3))
 
 
 def test_empty_batch(tiny_topology):
@@ -82,15 +82,15 @@ def test_dimension_and_round_errors(tiny_topology):
 def test_determinism(tiny_topology):
     t = build_topology(TopologyConfig(8, 4, 4, 3, seed=11))
     x = np.random.default_rng(1).normal(size=8)
-    a = propagate(t, x, 3).signals
-    b = propagate(t, x, 3).signals
+    a = propagate(t, x, 3)
+    b = propagate(t, x, 3)
     assert np.array_equal(a, b)
 
 
 def test_negative_features_pass_through(tiny_topology):
     # negative entrance outputs at round 0 are propagated, not clipped
     sig = propagate(tiny_topology, [-1.0, -2.0], 3)
-    assert np.all(sig.signals >= 0.0)
+    assert np.all(sig >= 0.0)
 
 
 def _random_small_topology(rng):
@@ -110,7 +110,7 @@ def test_oracle_equivalence_random_small_nets():
         t = _random_small_topology(rng)
         T = int(rng.integers(1, 5))
         x = rng.normal(size=t.feature_dim) * 3.0
-        got = propagate(t, x, T).signals
+        got = propagate(t, x, T)
         ref = reference_propagate(t, x, T)[t.memory_node_ids]
         assert np.array_equal(got, ref)
 
@@ -155,7 +155,7 @@ def test_oracle_special_value_rows():
     for T in (1, 2, 3, 5):
         _assert_bitwise(propagate_batch(t, X, T), _reference_rows(t, X, T))
         for x in X[:3]:
-            _assert_bitwise(propagate(t, x, T).signals, _reference_rows(t, [x], T)[0])
+            _assert_bitwise(propagate(t, x, T), _reference_rows(t, [x], T)[0])
 
 
 @pytest.mark.parametrize("d, rows", [(20, 1400), (64, 64), (256, 1)])
@@ -190,7 +190,7 @@ def test_hub_with_bridging_predecessor():
         d=2, h=2, b=1,
     )
     sig, trace = propagate_trace(t, [1.0, 1.0], 3)
-    assert sig.signals.tolist() == [1.0, 1.5, 1.0]
+    assert sig.tolist() == [1.0, 1.5, 1.0]
     assert [r.activated.tolist() for r in trace.rounds] == [[2, 3], [4], [3]]
     rng = np.random.default_rng(4)
     X = rng.normal(size=(6, 2))
@@ -265,8 +265,8 @@ def test_positive_homogeneity_default_scale():
     for _ in range(20):
         x = rng.normal(size=64)
         c = float(rng.uniform(0.1, 10.0))
-        base = propagate(t, x, 3).signals
-        scaled = propagate(t, c * x, 3).signals
+        base = propagate(t, x, 3)
+        scaled = propagate(t, c * x, 3)
         np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-300)
 
 
@@ -279,8 +279,8 @@ def test_positive_homogeneity_default_scale():
 def test_positive_homogeneity_property(seed, c, xseed):
     t = build_topology(TopologyConfig(5, 3, 3, 4, seed=seed))
     x = np.random.default_rng(xseed).normal(size=5)
-    base = propagate(t, x, 3).signals
-    scaled = propagate(t, c * x, 3).signals
+    base = propagate(t, x, 3)
+    scaled = propagate(t, c * x, 3)
     np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-300)
 
 
