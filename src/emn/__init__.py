@@ -28,7 +28,6 @@ from emn.inference import EmnModel, Prediction, build_model, predict, predict_ba
 from emn.memory import (
     HyperParams,
     MemoryStore,
-    fuzzy_likelihood,
     init_memory,
     log_fuzzy_likelihood,
     supervised_update,
@@ -41,7 +40,6 @@ from emn.propagation import (
 )
 from emn.topology import (
     NetworkTopology,
-    NodeKind,
     TopologyConfig,
     build_topology,
     topology_stats,

@@ -94,7 +94,12 @@ class Resolver:
             raw = self.file[name]
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            try:
+                return cast(raw)
+            except ValueError:
+                raise errors.ConfigError(
+                    f"config value {name} = {raw!r} is not a valid {cast.__name__}"
+                ) from None
         return default
 
     def fields(self, cls, *names: str, **renamed: str) -> dict:
@@ -180,9 +185,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     r = Resolver(args)
     source = read_dataset(args.source, args.format)
-    if source.labels is None:
-        raise errors.MissingLabelsError("training data must carry labels")
-    class_count = r.get("classes", int(source.labels.max()) + 1, int)
+    class_count = r.get("classes", source.label_class_count(), int)
     topo_cfg = _topo_from(r, source.dim)
     model = build_model(topo_cfg, class_count, _hyper_from(r), {"trained_on": "source"})
     train_supervised(model, source, shuffle_seed=topo_cfg.seed)
@@ -227,7 +230,7 @@ def cmd_predict(args) -> int:
     )
     lines = [header]
     for i, p in enumerate(preds):
-        lines.append(f"{i},{p.label}," + ",".join(repr(v) for v in p.posterior))
+        lines.append(f"{i},{p.label}," + ",".join(map(repr, p.posterior.tolist())))
     _emit(args, "\n".join(lines) + "\n")
     if args.trace_out:
         if data.n_samples == 0:
@@ -271,9 +274,7 @@ def cmd_bench(args) -> int:
     r = Resolver(args)
     model = load_model(args.model)
     target = read_dataset(args.target, args.format)
-    cfg = BenchConfig(
-        **r.fields(BenchConfig, "repetitions", "batch_size", "beta", shuffle_seed="seed")
-    )
+    cfg = BenchConfig(**r.fields(BenchConfig, "repetitions"), adapt=_adapt_cfg_from(r))
     report = bench(model, target, cfg)
     lines = [
         "metric,value",

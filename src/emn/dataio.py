@@ -23,6 +23,7 @@ from emn.errors import (
     IntegrityError,
     LabelRangeError,
     MagicError,
+    MissingLabelsError,
     ParseError,
     SchemaVersionError,
     TruncationError,
@@ -30,7 +31,7 @@ from emn.errors import (
 )
 from emn.inference import EmnModel
 from emn.memory import HyperParams, MemoryStore
-from emn.topology import NetworkTopology, NodeKind, TopologyConfig
+from emn.topology import NetworkTopology, TopologyConfig
 
 EMNF_MAGIC = b"EMNF"
 EMNF_VERSION = 1
@@ -58,6 +59,12 @@ class FeatureDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    def label_class_count(self) -> int:
+        """Largest label + 1: the class count a labeled training set implies."""
+        if self.labels is None or not self.labels.size:
+            raise MissingLabelsError("training requires labeled rows")
+        return int(self.labels.max()) + 1
 
     def check_labels_in_range(self, class_count: int) -> None:
         if self.labels is not None and self.labels.size:
@@ -273,26 +280,37 @@ def save_model(model: EmnModel, path) -> None:
 
 
 def load_model(path) -> EmnModel:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    payload = doc.get("payload", {})
-    stored = doc.get("crc32")
-    if zlib.crc32(_canonical(payload).encode("utf-8")) != stored:
+    """Read a model document. Any document that is not a checksummed,
+    well-formed model raises a model error: ``IntegrityError`` or
+    ``SchemaVersionError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise IntegrityError(f"{path}: not a model document: {exc}") from None
+    payload = doc.get("payload") if isinstance(doc, dict) else None
+    if not isinstance(payload, dict):
+        raise IntegrityError(f"{path}: not a model document")
+    if zlib.crc32(_canonical(payload).encode("utf-8")) != doc.get("crc32"):
         raise IntegrityError(f"{path}: checksum mismatch")
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise SchemaVersionError(f"{path}: unknown schema version {version}")
-
-    tcfg = TopologyConfig(**payload["topology"]["config"])
-    hyper = HyperParams(**payload["hyper"])
     try:
-        tcfg.validate()
-        hyper.validate()
-    except ConfigError as exc:
+        return _model_from_payload(payload, path)
+    except KeyError as exc:
+        raise IntegrityError(f"{path}: missing key {exc}") from None
+    except (ConfigError, TypeError, ValueError) as exc:
         raise IntegrityError(f"{path}: {exc}") from None
 
-    d, h, b = tcfg.feature_dim, tcfg.hub_count, tcfg.bridging_count
-    n = d + h + b
+
+def _model_from_payload(payload: dict, path) -> EmnModel:
+    tcfg = TopologyConfig(**payload["topology"]["config"])
+    hyper = HyperParams(**payload["hyper"])
+    tcfg.validate()
+    hyper.validate()
+
+    n = tcfg.node_count
     edges, weights = payload["topology"]["edges"], payload["topology"]["weights"]
     if len(edges) != n or len(weights) != n:
         raise IntegrityError(f"{path}: edge and weight lists must cover {n} nodes")
@@ -303,10 +321,12 @@ def load_model(path) -> EmnModel:
             raise IntegrityError(f"{path}: node {i}: edges and weights misaligned")
         if p.size and (p.min() < 0 or p.max() >= n):
             raise IntegrityError(f"{path}: node {i}: edge id outside [0, {n})")
-    kinds = [NodeKind.ENTRANCE] * d + [NodeKind.HUB] * h + [NodeKind.BRIDGING] * b
-    topology = NetworkTopology(tcfg, kinds, preds, weights)
+    topology = NetworkTopology(tcfg, preds, weights)
 
     class_count = payload["class_count"]
+    if type(class_count) is not int or class_count < 1:
+        raise IntegrityError(f"{path}: class_count must be a positive integer")
+    m = topology.memory_node_count
     mem = payload["memory"]
     arrays = {
         "mu": np.array(mem["mu"], dtype=np.float64),
@@ -314,10 +334,14 @@ def load_model(path) -> EmnModel:
         "initialized": np.array(mem["initialized"], dtype=bool),
     }
     for name, a in arrays.items():
-        if a.shape != (h + b, class_count):
+        if a.shape != (m, class_count):
             raise IntegrityError(
-                f"{path}: memory {name} must be shaped ({h + b}, {class_count})"
+                f"{path}: memory {name} must be shaped ({m}, {class_count})"
             )
+    # Uninitialized pairs load; retrieval refuses them with NotTrainedError.
+    mu, sigma = arrays["mu"], arrays["sigma"]
+    if not (np.isfinite(mu).all() and (np.isfinite(sigma) & (sigma >= 0.0)).all()):
+        raise IntegrityError(f"{path}: memory mu must be finite, sigma finite and >= 0")
     store = MemoryStore(**arrays, class_count=class_count, hyper=hyper)
     return EmnModel(
         topology, store, class_count, hyper, dict(payload.get("metadata", {}))
@@ -330,15 +354,12 @@ def load_model(path) -> EmnModel:
 
 def write_memory_csv(model: EmnModel, path) -> None:
     """Memory snapshot: one row per (node, class)."""
-    node_ids = model.topology.memory_node_ids
+    mu, sigma = model.store.mu.tolist(), model.store.sigma.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("node_id,class,mu,sigma\n")
-        for i, nid in enumerate(node_ids):
+        for i, nid in enumerate(model.topology.memory_node_ids.tolist()):
             for k in range(model.class_count):
-                f.write(
-                    f"{int(nid)},{k},{model.store.mu[i, k]!r},"
-                    f"{model.store.sigma[i, k]!r}\n"
-                )
+                f.write(f"{nid},{k},{mu[i][k]!r},{sigma[i][k]!r}\n")
 
 
 def write_trace_csv(trace, path) -> None:
@@ -346,5 +367,6 @@ def write_trace_csv(trace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("round,node_id,output\n")
         for rt in trace.rounds:
-            for nid in rt.activated:
-                f.write(f"{rt.round_index},{int(nid)},{rt.outputs[nid]!r}\n")
+            outputs = rt.outputs.tolist()
+            for nid in rt.activated.tolist():
+                f.write(f"{rt.round_index},{nid},{outputs[nid]!r}\n")

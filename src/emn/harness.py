@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,10 +57,11 @@ def evaluate(model: EmnModel, dataset: FeatureDataset) -> EvalReport:
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """Repetitions of one timed epoch of ``adapt`` (``adapt.epochs`` is
+    ignored)."""
+
     repetitions: int = 5
-    batch_size: int = 64
-    beta: float = 0.9
-    shuffle_seed: int = 0
+    adapt: AdaptationConfig = field(default_factory=AdaptationConfig)
 
     def validate(self) -> None:
         if self.repetitions < 1:
@@ -87,9 +88,9 @@ class BenchReport:
             "backward_passes": self.backward_passes,
             "config": {
                 "repetitions": self.config.repetitions,
-                "batch_size": self.config.batch_size,
-                "beta": self.config.beta,
-                "shuffle_seed": self.config.shuffle_seed,
+                "batch_size": self.config.adapt.batch_size,
+                "beta": self.config.adapt.beta,
+                "shuffle_seed": self.config.adapt.shuffle_seed,
             },
         }
 
@@ -106,6 +107,7 @@ def bench(
     if n == 0:
         raise UsageError("bench requires a non-empty dataset")
 
+    acfg = replace(cfg.adapt, epochs=1)
     inference_times = []
     adaptation_times = []
     forward_per_sample = 0.0
@@ -120,12 +122,6 @@ def bench(
             model.class_count,
             model.hyper,
             dict(model.metadata),
-        )
-        acfg = AdaptationConfig(
-            epochs=1,
-            batch_size=cfg.batch_size,
-            beta=cfg.beta,
-            shuffle_seed=cfg.shuffle_seed,
         )
         propagation.reset_forward_sample_count()
         start = time.perf_counter()
@@ -158,9 +154,7 @@ class GnbModel:
 
 
 def baseline_gnb_train(dataset: FeatureDataset) -> GnbModel:
-    if dataset.labels is None or not dataset.labels.size:
-        raise MissingLabelsError("GNB training requires labeled rows")
-    C = int(dataset.labels.max()) + 1
+    C = dataset.label_class_count()
     dim = dataset.dim
     mu = np.zeros((C, dim))
     var = np.ones((C, dim))
@@ -230,8 +224,7 @@ def run_pipeline(
     train_seed: int = 0,
 ):
     """Train on source, adapt on target; returns (model, reports, history)."""
-    class_count = int(source.labels.max()) + 1
-    model = build_model(topo_cfg, class_count, hyper)
+    model = build_model(topo_cfg, source.label_class_count(), hyper)
     train_supervised(model, source, shuffle_seed=train_seed)
     source_report = evaluate(model, source)
     before = evaluate(model, target)

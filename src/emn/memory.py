@@ -137,20 +137,9 @@ def supervised_update(
         store.initialized[:, k] = True
 
 
-def fuzzy_likelihood(mu, sigma, sigma1: float, m_hat):
-    """Gaussian-blurred class likelihood; bounded above by 0.5."""
-    if sigma1 <= 0.0:
-        raise ConfigError(f"sigma1 must be positive, got {sigma1}")
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    m_hat = np.asarray(m_hat, dtype=np.float64)
-    denom = 2.0 * sigma + sigma1
-    q = np.sqrt(sigma1) / (2.0 * np.sqrt(denom)) * np.exp(-((m_hat - mu) ** 2) / denom)
-    return q if q.ndim else float(q)
-
-
 def log_fuzzy_likelihood(mu, sigma, sigma1: float, m_hat):
-    """ln of fuzzy_likelihood without forming the underflowing exponential."""
+    """ln of the Gaussian-blurred class likelihood (bounded above by 0.5),
+    without forming the underflowing exponential."""
     if sigma1 <= 0.0:
         raise ConfigError(f"sigma1 must be positive, got {sigma1}")
     mu = np.asarray(mu, dtype=np.float64)

@@ -8,7 +8,8 @@ Entrance nodes emit their feature value only at round 0.
 Accumulation order is part of the defined semantics: the incoming sum for
 a node is formed sequentially in predecessor-list order and then added to
 the hidden state. This makes results bit-reproducible and checkable
-against a straight-line scalar interpreter.
+against a straight-line scalar interpreter (the test oracle in
+``tests/oracles.py``).
 
 The engine compiles a topology's rank tables once and caches them on it.
 A node fed only by entrances receives input only in round 1, so a
@@ -77,8 +78,8 @@ class CompiledTopology:
     of one ordered sum in round 1 and nothing after: its later input is
     +0.0 (or NaN for a non-finite weight), which cannot lift a hidden state
     that is <= 0 or NaN. Every other node iterates for T rounds. Nodes are
-    classified by their predecessor lists, never by kind, so any edge set
-    keeps the semantics of ``reference_propagate``.
+    classified by their predecessor lists, never by their id range, so any
+    edge set keeps the scalar semantics of the module docstring.
     """
 
     one_shot: _Phase
@@ -242,35 +243,3 @@ def propagate_trace(
     assert tr is not None
     return m[0], tr
 
-
-def reference_propagate(topology: NetworkTopology, x, T: int) -> np.ndarray:
-    """Straight-line scalar interpreter of the propagation rules.
-
-    Independent of the vectorized engine; used as the test oracle on small
-    networks. Returns memory signals for all N nodes.
-    """
-    n = topology.node_count
-    x = list(map(float, x))
-    o = [0.0] * n
-    for i in range(topology.feature_dim):
-        o[i] = x[i]
-    h = [0.0] * n
-    m = [0.0] * n
-    for _ in range(T):
-        new_o = [0.0] * n
-        new_h = list(h)
-        for i in range(n):
-            s = 0.0
-            for j, w in zip(topology.predecessors[i], topology.weights[i]):
-                s = s + o[j] * float(w)
-            hi = h[i] + s
-            if hi > 0.0:
-                new_o[i] = hi
-                new_h[i] = 0.0
-            else:
-                new_o[i] = 0.0
-                new_h[i] = hi
-        o, h = new_o, new_h
-        for i in range(n):
-            m[i] = m[i] + o[i]
-    return np.array(m)

@@ -13,7 +13,6 @@ bridging node in id order its predecessor sample followed by its weights.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -25,12 +24,6 @@ if TYPE_CHECKING:
     from emn.propagation import CompiledTopology
 
 
-class NodeKind(enum.Enum):
-    ENTRANCE = "entrance"
-    HUB = "hub"
-    BRIDGING = "bridging"
-
-
 @dataclass(frozen=True)
 class TopologyConfig:
     feature_dim: int
@@ -38,6 +31,11 @@ class TopologyConfig:
     bridging_count: int = 50
     bridging_in_degree: int = 30
     seed: int = 0
+
+    @property
+    def node_count(self) -> int:
+        """Entrance, then hub, then bridging node ids cover [0, node_count)."""
+        return self.feature_dim + self.hub_count + self.bridging_count
 
     def validate(self) -> None:
         if self.feature_dim < 1:
@@ -69,7 +67,6 @@ class NetworkTopology:
     """
 
     config: TopologyConfig
-    node_kinds: list[NodeKind]
     predecessors: list[np.ndarray]  # per node, int64 ids; empty for entrances
     weights: list[np.ndarray]  # per node, float64 aligned with predecessors
     compiled: CompiledTopology | None = field(
@@ -78,7 +75,7 @@ class NetworkTopology:
 
     @property
     def node_count(self) -> int:
-        return len(self.node_kinds)
+        return self.config.node_count
 
     @property
     def feature_dim(self) -> int:
@@ -98,13 +95,8 @@ class NetworkTopology:
 def build_topology(cfg: TopologyConfig) -> NetworkTopology:
     """Construct the seeded hybrid random graph. Pure function of cfg."""
     cfg.validate()
-    d, h, b = cfg.feature_dim, cfg.hub_count, cfg.bridging_count
-    n = d + h + b
+    d, h, n = cfg.feature_dim, cfg.hub_count, cfg.node_count
     rng = np.random.default_rng(cfg.seed)
-
-    kinds = (
-        [NodeKind.ENTRANCE] * d + [NodeKind.HUB] * h + [NodeKind.BRIDGING] * b
-    )
     preds: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(d)]
     weights: list[np.ndarray] = [np.empty(0) for _ in range(d)]
 
@@ -120,7 +112,7 @@ def build_topology(cfg: TopologyConfig) -> NetworkTopology:
         preds.append(chosen.astype(np.int64))
         weights.append(rng.uniform(-1.0, 1.0, size=cfg.bridging_in_degree))
 
-    return NetworkTopology(cfg, kinds, preds, weights)
+    return NetworkTopology(cfg, preds, weights)
 
 
 @dataclass(frozen=True)
@@ -137,9 +129,9 @@ class TopologyStats:
 def topology_stats(t: NetworkTopology) -> TopologyStats:
     all_w = np.concatenate([w for w in t.weights if w.size] or [np.empty(0)])
     return TopologyStats(
-        entrance_count=sum(k is NodeKind.ENTRANCE for k in t.node_kinds),
-        hub_count=sum(k is NodeKind.HUB for k in t.node_kinds),
-        bridging_count=sum(k is NodeKind.BRIDGING for k in t.node_kinds),
+        entrance_count=t.config.feature_dim,
+        hub_count=t.config.hub_count,
+        bridging_count=t.config.bridging_count,
         edge_count=int(sum(p.size for p in t.predecessors)),
         weight_min=float(all_w.min()) if all_w.size else 0.0,
         weight_max=float(all_w.max()) if all_w.size else 0.0,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emn.topology import NetworkTopology, NodeKind, TopologyConfig, build_topology
+from emn.topology import NetworkTopology, TopologyConfig, build_topology
 
 
 @pytest.fixture

@@ -28,20 +28,15 @@ from emn.inference import (
 )
 from emn.memory import (
     HyperParams,
-    fuzzy_likelihood,
     init_memory,
     log_fuzzy_likelihood,
     softmax,
     supervised_update,
 )
 from emn.adaptation import reinforced_update
-from emn.propagation import (
-    propagate,
-    propagate_batch,
-    propagate_trace,
-    reference_propagate,
-)
+from emn.propagation import propagate, propagate_batch, propagate_trace
 from emn.topology import TopologyConfig, build_topology
+from oracles import fuzzy_likelihood, reference_propagate
 
 PINNED_TASK = dict(
     class_count=3,

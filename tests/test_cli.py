@@ -69,7 +69,13 @@ def test_full_pipeline(task_files, model_file, tmp_path, capsys):
     lines = pred_out.read_text().splitlines()
     assert lines[0] == "row_index,predicted_label,p_0,p_1,p_2"
     assert len(lines) == 91
-    assert (tmp_path / "trace.csv").read_text().startswith("round,node_id,output")
+    trace_lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert trace_lines[0] == "round,node_id,output"
+    snapshot = (tmp_path / "snaps" / "memory_epoch_000.csv").read_text().splitlines()
+    for report in (lines, trace_lines, snapshot):
+        for line in report[1:]:
+            for field in line.split(","):
+                float(field)  # plain numbers, never numpy scalar reprs
 
     code, out, _ = _run(
         capsys, "eval", "--model", str(tmp_path / "adapted.json"),
@@ -100,6 +106,20 @@ def test_bench_json_record(task_files, model_file, tmp_path, capsys):
     record = json.loads(json_out.read_text())
     assert record["backward_passes"] == 0
     assert record["repetitions"] == 2
+
+
+def test_bench_flags_set_the_timed_adaptation(task_files, model_file, tmp_path, capsys):
+    _, tgt = task_files
+    json_out = tmp_path / "bench.json"
+    code, _, _ = _run(
+        capsys, "bench", "--model", str(model_file), "--target", str(tgt),
+        "--repetitions", "1", "--batch-size", "16", "--beta", "0.5", "--seed", "3",
+        "--json-out", str(json_out),
+    )
+    assert code == 0
+    assert json.loads(json_out.read_text())["config"] == {
+        "repetitions": 1, "batch_size": 16, "beta": 0.5, "shuffle_seed": 3
+    }
 
 
 def test_ablate(task_files, capsys):
@@ -143,6 +163,15 @@ def test_exit_code_model_error(task_files, tmp_path, capsys):
     assert code == 4
 
 
+def test_exit_code_model_error_for_non_json_file(task_files, tmp_path, capsys):
+    _, tgt = task_files
+    doc = tmp_path / "model.json"
+    doc.write_text("this is not a model\n")
+    code, _, err = _run(capsys, "predict", "--model", str(doc), "--target", str(tgt))
+    assert code == 4
+    assert "not a model document" in err
+
+
 def test_exit_code_model_error_for_bad_edge_id(task_files, model_file, capsys):
     import zlib
 
@@ -181,6 +210,50 @@ def test_eval_negative_label_is_a_data_error(model_file, tmp_path, capsys):
     )
     assert code == 3
     assert "non-negative" in err
+
+
+@pytest.fixture
+def empty_labeled(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(",".join(f"f{i}" for i in range(8)) + ",label\n")
+    return path
+
+
+@pytest.mark.parametrize("classes", [[], ["--classes", "3"]])
+def test_train_on_empty_source_is_a_data_error(
+    empty_labeled, tmp_path, capsys, classes
+):
+    code, _, err = _run(
+        capsys, "train", "--source", str(empty_labeled),
+        "--model", str(tmp_path / "m.json"), *classes,
+    )
+    assert code == 3
+    assert "labeled rows" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_ablate_on_empty_source_is_a_data_error(task_files, empty_labeled, capsys):
+    _, tgt = task_files
+    code, _, err = _run(
+        capsys, "ablate", "--source", str(empty_labeled), "--target", str(tgt),
+        "--epochs", "1",
+    )
+    assert code == 3
+    assert "labeled rows" in err
+
+
+def test_config_value_that_fails_to_cast_is_a_config_error(
+    task_files, tmp_path, capsys
+):
+    src, _ = task_files
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("hub = abc\n")
+    code, _, err = _run(
+        capsys, "train", "--config", str(cfgfile), "--source", str(src),
+        "--model", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+    assert "hub" in err and "abc" in err
 
 
 def test_config_file_defaults_overridden_by_flags(tmp_path, capsys):

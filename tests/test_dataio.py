@@ -227,6 +227,14 @@ STRUCTURE_FAULTS = {
     "class count off": lambda p: p.update(class_count=3),
     "beta out of range": lambda p: p["hyper"].update(beta=5.0),
     "topology config invalid": lambda p: p["topology"]["config"].update(hub_count=0),
+    "memory missing": lambda p: p.pop("memory"),
+    "edges missing": lambda p: p["topology"].pop("edges"),
+    "hyper key unknown": lambda p: p["hyper"].update(gamma=1.0),
+    "hyper value not a number": lambda p: p["hyper"].update(beta="high"),
+    "class count fractional": lambda p: p.update(class_count=2.0),
+    "sigma negative": lambda p: p["memory"]["sigma"][0].__setitem__(0, -1.0),
+    "sigma infinite": lambda p: p["memory"]["sigma"][0].__setitem__(0, float("inf")),
+    "mu not a number": lambda p: p["memory"]["mu"][1].__setitem__(1, float("nan")),
 }
 
 
@@ -240,6 +248,24 @@ def test_structurally_bad_document_is_an_integrity_error(tmp_path, fault):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "data", [b"not json\n", b"", b'["payload"]', b"\xff\xfe\x00model"]
+)
+def test_non_document_is_an_integrity_error(tmp_path, data):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    with pytest.raises(IntegrityError):
+        load_model(path)
+
+
+def test_uninitialized_pairs_still_load(tmp_path):
+    model = build_model(TopologyConfig(5, 3, 3, 4, seed=0), 2)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert not back.store.initialized.any()
+
+
 def test_memory_csv_layout(tmp_path):
     model = _trained_model()
     path = tmp_path / "memory.csv"
@@ -247,6 +273,9 @@ def test_memory_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "node_id,class,mu,sigma"
     assert len(lines) == 1 + model.store.node_count * model.class_count
+    for line in lines[1:]:
+        for field in line.split(","):
+            float(field)
 
 
 def test_dataset_dimension_checks():

@@ -118,6 +118,15 @@ class TestBench:
         assert report.backward_passes == 0
         assert report.sample_count == tgt.n_samples
 
+    def test_times_one_epoch_of_its_adaptation_config(self):
+        model, _, tgt = _trained(5)
+        acfg = AdaptationConfig(epochs=9, batch_size=16, beta=0.5, shuffle_seed=3)
+        report = bench(model, tgt, BenchConfig(repetitions=1, adapt=acfg))
+        assert report.forward_passes_per_adapted_sample == 1.0
+        assert report.to_dict()["config"] == {
+            "repetitions": 1, "batch_size": 16, "beta": 0.5, "shuffle_seed": 3
+        }
+
     def test_empty_dataset_rejected(self):
         model, _, _ = _trained(6)
         with pytest.raises(UsageError):

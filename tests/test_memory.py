@@ -10,13 +10,13 @@ from emn.inference import batch_node_votes, build_model
 from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
-    fuzzy_likelihood,
     init_memory,
     log_fuzzy_likelihood,
     softmax,
     supervised_update,
 )
 from emn.topology import TopologyConfig
+from oracles import fuzzy_likelihood
 
 Q0 = 1.0 / (2.0 * math.sqrt(3.0))  # fuzzy_likelihood(0, 1, 1, 0)
 

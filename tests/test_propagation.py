@@ -7,13 +7,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from emn.errors import ConfigError, DimensionError
-from emn.propagation import (
-    propagate,
-    propagate_batch,
-    propagate_trace,
-    reference_propagate,
-)
-from emn.topology import NetworkTopology, NodeKind, TopologyConfig, build_topology
+from emn.propagation import propagate, propagate_batch, propagate_trace
+from emn.topology import NetworkTopology, TopologyConfig, build_topology
+from oracles import reference_propagate
 
 
 def test_hand_traced_fixture(tiny_topology):
@@ -171,10 +167,8 @@ def test_oracle_default_scale(d, rows):
 
 
 def _hand_built(preds, weights, d, h, b):
-    kinds = [NodeKind.ENTRANCE] * d + [NodeKind.HUB] * h + [NodeKind.BRIDGING] * b
     return NetworkTopology(
         TopologyConfig(d, h, b, 1),
-        kinds,
         [np.array(p, dtype=np.int64) for p in preds],
         [np.array(w, dtype=np.float64) for w in weights],
     )

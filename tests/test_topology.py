@@ -4,19 +4,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from emn.errors import ConfigError
-from emn.topology import NodeKind, TopologyConfig, build_topology, topology_stats
+from emn.topology import TopologyConfig, build_topology, topology_stats
 
 
 def test_small_structure():
     cfg = TopologyConfig(2, 1, 1, 2, seed=7)
     t = build_topology(cfg)
     assert t.node_count == 4
-    assert t.node_kinds == [
-        NodeKind.ENTRANCE,
-        NodeKind.ENTRANCE,
-        NodeKind.HUB,
-        NodeKind.BRIDGING,
-    ]
+    stats = topology_stats(t)
+    assert (stats.entrance_count, stats.hub_count, stats.bridging_count) == (2, 1, 1)
+    assert t.memory_node_ids.tolist() == [2, 3]
     assert set(t.predecessors[2].tolist()) == {0, 1}
     assert t.predecessors[3].size == 2
     assert 3 not in t.predecessors[3]
