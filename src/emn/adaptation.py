@@ -2,7 +2,10 @@
 
 Each epoch regenerates pseudo labels from the current model, shuffles the
 target set, and applies confidence-weighted EMA updates batch by batch.
-Only forward propagation is involved; there is no gradient anywhere.
+The update is supervised memorization's rule with pseudo labels for true
+labels and confidence weights for unit weights; ``beta`` and the batch
+size are the model's ``HyperParams``. Only forward propagation is
+involved; there is no gradient anywhere.
 """
 
 from __future__ import annotations
@@ -15,24 +18,19 @@ import numpy as np
 
 from emn.errors import ConfigError, NotTrainedError
 from emn.inference import EmnModel, labels_from_signals
-from emn.memory import MemoryStore, _check_batch, log_likelihood
+from emn.memory import MemoryStore, _check_batch, _ema_update, log_likelihood
+from emn.memory import batched_updates
 from emn.propagation import propagate_batch
 
 
 @dataclass(frozen=True)
 class AdaptationConfig:
     epochs: int = 16
-    batch_size: int = 64
-    beta: float = 0.9
     shuffle_seed: int = 0
 
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigError("beta must be in [0, 1)")
 
 
 @dataclass
@@ -64,9 +62,7 @@ def pseudo_label(model: EmnModel, X_target) -> np.ndarray:
     return labels_from_signals(model, signals)
 
 
-def reinforced_update(
-    store: MemoryStore, signals, pseudo_labels, beta: float | None = None
-) -> None:
+def reinforced_update(store: MemoryStore, signals, pseudo_labels) -> None:
     """Confidence-weighted EMA update driven by pseudo labels.
 
     Per node and per pseudo class, each sample contributes with weight
@@ -78,7 +74,6 @@ def reinforced_update(
         raise NotTrainedError("reinforced updates require a trained store")
     signals, labels = _check_batch(store, signals, pseudo_labels)
     hyper = store.hyper
-    beta = hyper.beta if beta is None else beta
     for k in np.unique(labels):
         rows = signals[labels == k]  # B_k x nodes
         if hyper.confidence_enabled:
@@ -88,21 +83,12 @@ def reinforced_update(
             e = np.ones_like(rows)
 
         if hyper.confidence_normalized:
-            divisor = e.sum(axis=0)
+            divisor = e.sum(axis=0)  # 0 when no row carries confidence
         elif hyper.literal_batch_divisor:
             divisor = float(signals.shape[0])
         else:
             divisor = float(rows.shape[0])
-        divisor = np.broadcast_to(np.asarray(divisor, dtype=np.float64), (rows.shape[1],))
-        touch = divisor > 0.0  # zero total confidence carries no information
-
-        safe_div = np.where(touch, divisor, 1.0)
-        weighted_mean = (e * rows).sum(axis=0) / safe_div
-        mu_new = beta * store.mu[:, k] + (1.0 - beta) * weighted_mean
-        weighted_mad = (e * np.abs(rows - mu_new)).sum(axis=0) / safe_div
-        sigma_new = beta * store.sigma[:, k] + (1.0 - beta) * weighted_mad
-        store.mu[:, k] = np.where(touch, mu_new, store.mu[:, k])
-        store.sigma[:, k] = np.where(touch, sigma_new, store.sigma[:, k])
+        _ema_update(store, k, rows, e, divisor)
 
 
 def adapt(
@@ -112,7 +98,8 @@ def adapt(
     held_out_labels=None,
     snapshot_dir: str | Path | None = None,
 ) -> AdaptationHistory:
-    """Run reinforced memorization for cfg.epochs; mutates model in place."""
+    """Run reinforced memorization for cfg.epochs with the model's beta and
+    batch size; mutates model in place."""
     cfg.validate()
     if not model.trained:
         raise NotTrainedError("adapt requires a trained model")
@@ -126,28 +113,21 @@ def adapt(
     # Memory signals are a pure function of the topology and the inputs,
     # so each target sample is propagated exactly once for the whole run;
     # pseudo labels and updates reuse the cached signals.
-    signals = (
-        propagate_batch(model.topology, X_target, model.hyper.rounds)
-        if n
-        else np.empty((0, model.topology.memory_node_count))
-    )
+    signals = propagate_batch(model.topology, X_target, model.hyper.rounds)
 
     history = AdaptationHistory()
     prev_pseudo: np.ndarray | None = None
     for epoch in range(cfg.epochs):
-        pseudo = labels_from_signals(model, signals) if n else np.empty(0, np.int64)
+        pseudo = labels_from_signals(model, signals)
+        agreement = float("nan")
         if prev_pseudo is not None and n:
             agreement = float(np.mean(pseudo == prev_pseudo))
-        else:
-            agreement = float("nan")
         prev_pseudo = pseudo
 
         start = time.perf_counter()
-        if n:
-            order = np.random.default_rng(cfg.shuffle_seed ^ epoch).permutation(n)
-            for lo in range(0, n, cfg.batch_size):
-                idx = order[lo : lo + cfg.batch_size]
-                reinforced_update(model.store, signals[idx], pseudo[idx], cfg.beta)
+        batched_updates(
+            reinforced_update, model.store, signals, pseudo, cfg.shuffle_seed ^ epoch
+        )
         elapsed = time.perf_counter() - start
 
         accuracy = None

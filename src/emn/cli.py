@@ -46,6 +46,7 @@ from emn.topology import TopologyConfig
 USAGE_ERRORS = (errors.ConfigError, errors.UsageError)
 DATA_ERRORS = (
     errors.ParseError,
+    errors.NonFiniteError,
     errors.MagicError,
     errors.VersionError,
     errors.TruncationError,
@@ -61,17 +62,25 @@ MODEL_ERRORS = (
 )
 
 
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True)
+_BOOLS |= dict.fromkeys(("0", "false", "no", "off"), False)
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise errors.ConfigError(f"{path}: line {lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise errors.ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise errors.ConfigError(f"{path}: line {lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -92,11 +101,9 @@ class Resolver:
             return flag
         if name in self.file:
             raw = self.file[name]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
             try:
-                return cast(raw)
-            except ValueError:
+                return _BOOLS[raw.lower()] if cast is bool else cast(raw)
+            except (KeyError, ValueError):
                 raise errors.ConfigError(
                     f"config value {name} = {raw!r} is not a valid {cast.__name__}"
                 ) from None
@@ -138,24 +145,24 @@ def _topo_from(r: Resolver, feature_dim: int) -> TopologyConfig:
 
 
 def _adapt_cfg_from(r: Resolver) -> AdaptationConfig:
-    return AdaptationConfig(
-        **r.fields(AdaptationConfig, "epochs", "batch_size", "beta", shuffle_seed="seed")
-    )
+    return AdaptationConfig(**r.fields(AdaptationConfig, "epochs", shuffle_seed="seed"))
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
+def _set_update_rule(r: Resolver, model) -> None:
+    """--beta/--batch-size replace the loaded model's, on the model and its
+    store alike, so adaptation uses them and a saved model keeps them."""
+    rule = r.fields(HyperParams, "beta", "batch_size")
+    hyper = dataclasses.replace(model.hyper, **rule)
+    hyper.validate()
+    model.hyper = model.store.hyper = hyper
 
 
 def _emit(args, text: str) -> None:
-    stream = _out_stream(args)
-    try:
-        stream.write(text)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +203,7 @@ def cmd_train(args) -> int:
 def cmd_adapt(args) -> int:
     r = Resolver(args)
     model = load_model(args.model)
+    _set_update_rule(r, model)
     target = read_dataset(args.target, args.format)
     history = adapt(
         model,
@@ -273,6 +281,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     r = Resolver(args)
     model = load_model(args.model)
+    _set_update_rule(r, model)
     target = read_dataset(args.target, args.format)
     cfg = BenchConfig(**r.fields(BenchConfig, "repetitions"), adapt=_adapt_cfg_from(r))
     report = bench(model, target, cfg)
@@ -337,6 +346,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "emnf"], default=None)
 
 
+def _add_values(p: argparse.ArgumentParser, cast, *flags: str) -> None:
+    """Optional typed flags: an unset one stays None, so ``Resolver`` falls
+    back to the config file, then to the dataclass default."""
+    for flag in flags:
+        p.add_argument(flag, type=cast)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emn", description="Elastic memory network classifier"
@@ -347,28 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--samples-per-class", type=int)
-    p.add_argument("--mean-scale", type=float)
-    p.add_argument("--spread", type=float)
-    p.add_argument("--shift", type=float)
-    p.add_argument("--seed", type=int)
+    _add_values(p, int, "--classes", "--dim", "--samples-per-class", "--seed")
+    _add_values(p, float, "--mean-scale", "--spread", "--shift")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on labeled source features")
     _add_common(p)
     p.add_argument("--source", required=True)
     p.add_argument("--model", required=True, help="output model path")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--hub", type=int)
-    p.add_argument("--bridging", type=int)
-    p.add_argument("--in-degree", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sigma1", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
+    _add_values(p, int, "--classes", "--hub", "--bridging", "--in-degree")
+    _add_values(p, int, "--rounds", "--batch-size", "--seed")
+    _add_values(p, float, "--beta", "--sigma1")
     p.add_argument("--no-fuzzy", action="store_const", const=True, default=None)
     p.add_argument("--no-confidence", action="store_const", const=True, default=None)
     p.set_defaults(func=cmd_train)
@@ -378,10 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out", help="adapted model path (default: overwrite --model)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int)
+    _add_values(p, int, "--epochs", "--batch-size", "--seed")
+    _add_values(p, float, "--beta")
     p.add_argument("--snapshot-dir", help="write per-epoch memory CSV snapshots")
     p.set_defaults(func=cmd_adapt)
 
@@ -409,10 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--out")
     p.add_argument("--json-out", help="machine-readable report path")
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int)
+    _add_values(p, int, "--repetitions", "--batch-size", "--seed")
+    _add_values(p, float, "--beta")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ablate", help="run the base / base+G / base+G+C variants")
@@ -420,15 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out")
-    p.add_argument("--hub", type=int)
-    p.add_argument("--bridging", type=int)
-    p.add_argument("--in-degree", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sigma1", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+    _add_values(p, int, "--hub", "--bridging", "--in-degree", "--rounds")
+    _add_values(p, int, "--batch-size", "--epochs", "--seed")
+    _add_values(p, float, "--beta", "--sigma1")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("export-memory", help="memory snapshot CSV (node, class, mu, sigma)")

@@ -24,6 +24,7 @@ from emn.errors import (
     LabelRangeError,
     MagicError,
     MissingLabelsError,
+    NonFiniteError,
     ParseError,
     SchemaVersionError,
     TruncationError,
@@ -47,6 +48,9 @@ class FeatureDataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise DimensionError("features must be a 2-D matrix")
+        bad = ~np.isfinite(self.features).all(axis=1)
+        if bad.any():
+            raise NonFiniteError(f"row {int(bad.argmax())}: features must be finite")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.features.shape[0],):
@@ -64,6 +68,8 @@ class FeatureDataset:
         """Largest label + 1: the class count a labeled training set implies."""
         if self.labels is None or not self.labels.size:
             raise MissingLabelsError("training requires labeled rows")
+        if self.labels.min() < 0:
+            raise LabelRangeError("labels must be non-negative")
         return int(self.labels.max()) + 1
 
     def check_labels_in_range(self, class_count: int) -> None:
@@ -90,8 +96,11 @@ def write_csv(dataset: FeatureDataset, path) -> None:
 
 
 def read_csv(path) -> FeatureDataset:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")

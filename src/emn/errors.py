@@ -43,6 +43,10 @@ class ParseError(EmnError):
     """Malformed text input; message names the offending line."""
 
 
+class NonFiniteError(EmnError):
+    """A feature value is NaN or infinite; message names the first bad row."""
+
+
 class MagicError(EmnError):
     """Binary file does not start with the expected magic bytes."""
 

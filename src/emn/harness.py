@@ -19,7 +19,7 @@ from emn.errors import (
     UsageError,
 )
 from emn.inference import EmnModel, build_model, predict_batch
-from emn.memory import HyperParams, supervised_update
+from emn.memory import HyperParams, batched_updates, supervised_update
 from emn.propagation import propagate_batch
 from emn.topology import TopologyConfig
 
@@ -58,7 +58,7 @@ def evaluate(model: EmnModel, dataset: FeatureDataset) -> EvalReport:
 @dataclass(frozen=True)
 class BenchConfig:
     """Repetitions of one timed epoch of ``adapt`` (``adapt.epochs`` is
-    ignored)."""
+    ignored; beta and batch size are the timed model's)."""
 
     repetitions: int = 5
     adapt: AdaptationConfig = field(default_factory=AdaptationConfig)
@@ -77,6 +77,7 @@ class BenchReport:
     forward_passes_per_adapted_sample: float
     backward_passes: int  # structurally zero; no gradient path exists
     config: BenchConfig
+    hyper: HyperParams  # the timed model's, whose beta and batch size adapt uses
 
     def to_dict(self) -> dict:
         return {
@@ -88,8 +89,8 @@ class BenchReport:
             "backward_passes": self.backward_passes,
             "config": {
                 "repetitions": self.config.repetitions,
-                "batch_size": self.config.adapt.batch_size,
-                "beta": self.config.adapt.beta,
+                "batch_size": self.hyper.batch_size,
+                "beta": self.hyper.beta,
                 "shuffle_seed": self.config.adapt.shuffle_seed,
             },
         }
@@ -116,13 +117,7 @@ def bench(
         predict_batch(model, target.features)
         inference_times.append((time.perf_counter() - start) / n)
 
-        scratch = EmnModel(
-            model.topology,
-            model.store.copy(),
-            model.class_count,
-            model.hyper,
-            dict(model.metadata),
-        )
+        scratch = replace(model, store=model.store.copy(), metadata=dict(model.metadata))
         propagation.reset_forward_sample_count()
         start = time.perf_counter()
         adapt(scratch, target.features, acfg)
@@ -137,6 +132,7 @@ def bench(
         forward_passes_per_adapted_sample=forward_per_sample,
         backward_passes=0,
         config=cfg,
+        hyper=model.hyper,
     )
 
 
@@ -191,15 +187,10 @@ def train_supervised(
     if source.labels is None:
         raise MissingLabelsError("supervised training requires labels")
     source.check_labels_in_range(model.class_count)
-    n = source.n_samples
-    order = np.random.default_rng(shuffle_seed).permutation(n)
-    B = model.hyper.batch_size
     # Rows propagate independently, so the source is propagated once and
     # each shuffled batch slices its signals.
     signals = propagate_batch(model.topology, source.features, model.hyper.rounds)
-    for lo in range(0, n, B):
-        idx = order[lo : lo + B]
-        supervised_update(model.store, signals[idx], source.labels[idx])
+    batched_updates(supervised_update, model.store, signals, source.labels, shuffle_seed)
 
 
 @dataclass

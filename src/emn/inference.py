@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from emn.errors import DimensionError, NotTrainedError
+from emn.errors import ConfigError, DimensionError, NotTrainedError
 from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
@@ -45,6 +45,8 @@ class EmnModel:
             )
         if self.store.class_count != self.class_count:
             raise DimensionError("store class count does not match model")
+        if self.store.hyper != self.hyper:
+            raise ConfigError("store hyperparameters do not match model")
 
     @property
     def trained(self) -> bool:

@@ -5,8 +5,11 @@ the exponentially averaged mean absolute deviation of memory signals and
 is substituted wherever the variance-like denominator appears in the
 class density and its blurred variant.
 
-Updates are batch EMAs with temperature beta; the first update of a
-(node, class) pair bypasses the EMA since no prior statistics exist.
+Supervised and reinforced memorization (``emn.adaptation``) share one
+batch EMA with temperature ``HyperParams.beta``: supervised rows weigh 1,
+reinforced rows their confidence. The first update of a (node, class)
+pair takes the batch statistics as they are. Both run through one loop
+over shuffled batches of ``HyperParams.batch_size`` rows.
 Retrieval works in log space: ``log_likelihood`` is the one dispatch
 between the blurred and the plain class density, used both by
 ``store_log_likelihoods`` (every node and class of a batch of rows, the
@@ -114,27 +117,39 @@ def _check_batch(store: MemoryStore, signals: np.ndarray, labels: np.ndarray):
     return signals, labels.astype(np.int64)
 
 
-def supervised_update(
-    store: MemoryStore, signals, labels, beta: float | None = None
-) -> None:
-    """EMA update of (mu, sigma) from a labeled batch of memory signals.
+def _ema_update(store: MemoryStore, k: int, rows, weights, divisor) -> None:
+    """Move class k's mu toward the weighted mean of ``rows`` and its sigma
+    toward their weighted mean absolute deviation about the new mu; sums are
+    divided by ``divisor``, and a node whose divisor is 0 stays untouched."""
+    beta = store.hyper.beta
+    touch = divisor > 0.0
+    safe_div = np.where(touch, divisor, 1.0)
+    init = store.initialized[:, k]
+    mean = (weights * rows).sum(axis=0) / safe_div
+    mu = np.where(init, beta * store.mu[:, k] + (1.0 - beta) * mean, mean)
+    mad = (weights * np.abs(rows - mu)).sum(axis=0) / safe_div
+    sigma = np.where(init, beta * store.sigma[:, k] + (1.0 - beta) * mad, mad)
+    store.mu[:, k] = np.where(touch, mu, store.mu[:, k])
+    store.sigma[:, k] = np.where(touch, sigma, store.sigma[:, k])
+    store.initialized[:, k] |= touch
 
-    mu moves toward the per-class batch mean; sigma toward the batch mean
-    absolute deviation about the updated mu. Classes absent from the batch
-    are untouched.
-    """
+
+def supervised_update(store: MemoryStore, signals, labels) -> None:
+    """EMA update from a labeled batch: each row of its class weighs 1."""
     signals, labels = _check_batch(store, signals, labels)
-    beta = store.hyper.beta if beta is None else beta
     for k in np.unique(labels):
         rows = signals[labels == k]  # B_k x nodes
-        mean_k = rows.mean(axis=0)
-        init = store.initialized[:, k]
-        mu_new = np.where(init, beta * store.mu[:, k] + (1.0 - beta) * mean_k, mean_k)
-        mad = np.abs(rows - mu_new).mean(axis=0)
-        sigma_new = np.where(init, beta * store.sigma[:, k] + (1.0 - beta) * mad, mad)
-        store.mu[:, k] = mu_new
-        store.sigma[:, k] = sigma_new
-        store.initialized[:, k] = True
+        _ema_update(store, k, rows, 1.0, float(rows.shape[0]))
+
+
+def batched_updates(update, store: MemoryStore, signals, labels, seed: int) -> None:
+    """``update`` over shuffled batches of ``store.hyper.batch_size`` rows:
+    the one batch loop of training and adaptation."""
+    order = np.random.default_rng(seed).permutation(signals.shape[0])
+    B = store.hyper.batch_size
+    for lo in range(0, signals.shape[0], B):
+        idx = order[lo : lo + B]
+        update(store, signals[idx], labels[idx])
 
 
 def log_fuzzy_likelihood(mu, sigma, sigma1: float, m_hat):

@@ -65,7 +65,7 @@ class TestReinforcedUpdate:
         store = _full_store(nodes=1, classes=1, sigma1=1.0)
         store.sigma[:] = 0.0
         store.mu[:] = 1.0
-        reinforced_update(store, np.array([[2.0]]), np.array([0]), beta=0.9)
+        reinforced_update(store, np.array([[2.0]]), np.array([0]))
         e = 0.5 * np.exp(-1.0)
         assert store.mu[0, 0] == pytest.approx(0.9 + 0.1 * e * 2.0, rel=1e-12)
 
@@ -92,8 +92,8 @@ class TestReinforcedUpdate:
         per = _full_store(nodes=1, classes=2, confidence_enabled=False)
         signals = np.array([[2.0], [4.0]])
         labels = np.array([0, 1])
-        reinforced_update(lit, signals, labels, beta=0.9)
-        reinforced_update(per, signals, labels, beta=0.9)
+        reinforced_update(lit, signals, labels)
+        reinforced_update(per, signals, labels)
         assert lit.mu[0, 0] == pytest.approx(0.9 + 0.1 * 2.0 / 2.0, abs=1e-15)
         assert per.mu[0, 0] == pytest.approx(0.9 + 0.1 * 2.0, abs=1e-15)
 
@@ -126,10 +126,10 @@ class TestAdapt:
         assert np.array_equal(model.store.sigma, sigma)
 
     def test_deterministic(self):
-        cfg = AdaptationConfig(epochs=3, batch_size=16, shuffle_seed=5)
+        cfg = AdaptationConfig(epochs=3, shuffle_seed=5)
         runs = []
         for _ in range(2):
-            model, X, y = _trained_model(seed=2)
+            model, X, y = _trained_model(seed=2, batch_size=16)
             history = adapt(model, X, cfg, held_out_labels=y)
             runs.append((model.store.mu.copy(), model.store.sigma.copy(), history))
         assert np.array_equal(runs[0][0], runs[1][0])
@@ -139,8 +139,8 @@ class TestAdapt:
         ]
 
     def test_history_record_count_and_fields(self):
-        model, X, y = _trained_model(seed=3)
-        cfg = AdaptationConfig(epochs=4, batch_size=32, shuffle_seed=1)
+        model, X, y = _trained_model(seed=3, batch_size=32)
+        cfg = AdaptationConfig(epochs=4, shuffle_seed=1)
         history = adapt(model, X, cfg, held_out_labels=y)
         assert len(history) == 4
         assert np.isnan(history.records[0].pseudo_label_agreement)
@@ -152,8 +152,8 @@ class TestAdapt:
         assert history.best_epoch() is not None
 
     def test_snapshots_written(self, tmp_path):
-        model, X, _ = _trained_model(seed=4)
-        cfg = AdaptationConfig(epochs=2, batch_size=32)
+        model, X, _ = _trained_model(seed=4, batch_size=32)
+        cfg = AdaptationConfig(epochs=2)
         history = adapt(model, X, cfg, snapshot_dir=tmp_path)
         for rec in history.records:
             assert rec.snapshot_path is not None
@@ -163,19 +163,19 @@ class TestAdapt:
     def test_one_epoch_truth_labels_equals_supervised(self):
         # confidence off, pseudo labels identical to ground truth:
         # one adapt epoch must equal one pass of batched supervised updates
-        model, X, y = _trained_model(seed=9, confidence_enabled=False)
+        model, X, y = _trained_model(seed=9, confidence_enabled=False, batch_size=16)
         assert (pseudo_label(model, X) == y).all()  # saturated on blobs
         twin = EmnModel(
             model.topology, model.store.copy(), model.class_count, model.hyper
         )
-        cfg = AdaptationConfig(epochs=1, batch_size=16, shuffle_seed=3)
+        cfg = AdaptationConfig(epochs=1, shuffle_seed=3)
         adapt(model, X, cfg)
 
         signals = propagate_batch(twin.topology, X, twin.hyper.rounds)
         order = np.random.default_rng(cfg.shuffle_seed ^ 0).permutation(len(X))
-        for lo in range(0, len(X), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            supervised_update(twin.store, signals[idx], y[idx], cfg.beta)
+        for lo in range(0, len(X), twin.hyper.batch_size):
+            idx = order[lo : lo + twin.hyper.batch_size]
+            supervised_update(twin.store, signals[idx], y[idx])
         assert np.array_equal(model.store.mu, twin.store.mu)
         assert np.array_equal(model.store.sigma, twin.store.sigma)
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from emn.cli import main
+from emn import errors
+from emn.cli import DATA_ERRORS, MODEL_ERRORS, USAGE_ERRORS, main
 
 
 def _run(capsys, *argv):
@@ -268,3 +269,140 @@ def test_config_file_defaults_overridden_by_flags(tmp_path, capsys):
     assert code == 0
     lines = src.read_text().splitlines()
     assert len(lines) == 1 + 3 * 7  # flag wins over config file
+
+
+def _saved_payload(path):
+    return json.loads(path.read_text())["payload"]
+
+
+def test_adapt_uses_the_update_rule_chosen_at_train(task_files, tmp_path, capsys):
+    src, tgt = task_files
+    model = tmp_path / "model.json"
+    code, _, _ = _run(
+        capsys, "train", "--source", str(src), "--model", str(model),
+        "--hub", "10", "--bridging", "10", "--in-degree", "6", "--seed", "1",
+        "--beta", "0.5", "--batch-size", "16",
+    )
+    assert code == 0
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    for out, flags in ((plain, []), (flagged, ["--beta", "0.5", "--batch-size", "16"])):
+        code, _, _ = _run(
+            capsys, "adapt", "--model", str(model), "--target", str(tgt),
+            "--out", str(out), "--epochs", "2", *flags,
+        )
+        assert code == 0
+    assert _saved_payload(plain)["memory"] == _saved_payload(flagged)["memory"]
+    assert _saved_payload(plain)["hyper"]["batch_size"] == 16
+
+
+def test_adapt_saves_its_update_rule(task_files, model_file, tmp_path, capsys):
+    _, tgt = task_files
+    out = tmp_path / "adapted.json"
+    code, _, _ = _run(
+        capsys, "adapt", "--model", str(model_file), "--target", str(tgt),
+        "--out", str(out), "--epochs", "1", "--beta", "0.7",
+    )
+    assert code == 0
+    hyper = _saved_payload(out)["hyper"]
+    assert hyper["beta"] == 0.7
+    assert hyper["batch_size"] == 64
+
+
+def test_adapt_rejects_an_invalid_beta(task_files, model_file, capsys):
+    _, tgt = task_files
+    code, _, err = _run(
+        capsys, "adapt", "--model", str(model_file), "--target", str(tgt),
+        "--beta", "1.5",
+    )
+    assert code == 2
+    assert "beta" in err
+
+
+def test_train_on_all_negative_labels_is_a_data_error(tmp_path, capsys):
+    src = tmp_path / "neg.csv"
+    src.write_text("f0,f1,label\n1.0,2.0,-1\n3.0,4.0,-1\n")
+    code, _, err = _run(
+        capsys, "train", "--source", str(src), "--model", str(tmp_path / "m.json"),
+    )
+    assert code == 3
+    assert "non-negative" in err
+
+
+@pytest.mark.parametrize("value", ["ture", "maybe", ""])
+def test_config_boolean_typo_is_a_config_error(task_files, tmp_path, capsys, value):
+    src, _ = task_files
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"no_fuzzy = {value}\n")
+    code, _, err = _run(
+        capsys, "train", "--config", str(cfgfile), "--source", str(src),
+        "--model", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+    assert f"no_fuzzy = {value!r}" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, fuzzy", [("no_fuzzy = ON", False), ("no-fuzzy = off", True),
+                    ("no_fuzzy = Yes", False), ("no_fuzzy = 0", True)]
+)
+def test_config_booleans(task_files, tmp_path, capsys, text, fuzzy):
+    src, _ = task_files
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text + "\n")
+    model = tmp_path / "m.json"
+    code, _, _ = _run(
+        capsys, "train", "--config", str(cfgfile), "--source", str(src),
+        "--model", str(model), "--hub", "4", "--bridging", "4", "--in-degree", "3",
+    )
+    assert code == 0
+    assert _saved_payload(model)["hyper"]["fuzzy_enabled"] is fuzzy
+
+
+def test_config_file_not_utf8_is_a_config_error(task_files, tmp_path, capsys):
+    src, _ = task_files
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"hub = \xff\xfe\n")
+    code, _, err = _run(
+        capsys, "train", "--config", str(cfgfile), "--source", str(src),
+        "--model", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_predict_on_non_finite_feature_is_a_data_error(
+    model_file, tmp_path, capsys, value
+):
+    bad = tmp_path / "bad.csv"
+    header = ",".join(f"f{i}" for i in range(8)) + "\n"
+    bad.write_text(header + "0.0," * 7 + "0.0\n" + "0.0," * 7 + value + "\n")
+    code, out, err = _run(
+        capsys, "predict", "--model", str(model_file), "--target", str(bad)
+    )
+    assert code == 3
+    assert "row 1" in err and "finite" in err
+    assert out == ""
+
+
+def test_dataset_not_utf8_is_a_data_error(model_file, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(",".join(f"f{i}" for i in range(8)).encode() + b"\n\xff\xfe\n")
+    code, _, err = _run(
+        capsys, "predict", "--model", str(model_file), "--target", str(bad)
+    )
+    assert code == 3
+    assert "UTF-8" in err
+
+
+def _error_classes(cls=errors.EmnError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_library_error_has_one_exit_code():
+    mapped = USAGE_ERRORS + DATA_ERRORS + MODEL_ERRORS
+    for cls in _error_classes():
+        assert mapped.count(cls) == 1, cls.__name__

@@ -19,7 +19,9 @@ from emn.errors import (
     ConfigError,
     DimensionError,
     IntegrityError,
+    LabelRangeError,
     MagicError,
+    NonFiniteError,
     ParseError,
     SchemaVersionError,
     TruncationError,
@@ -66,6 +68,19 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_names_row(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,{value},1\n")
+        with pytest.raises(NonFiniteError, match="row 1"):
+            read_csv(path)
+
+    def test_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"f0,f1\n1.0,\xe9\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            read_csv(path)
+
 
 class TestEmnf:
     def test_round_trip_labeled(self, tmp_path):
@@ -97,6 +112,15 @@ class TestEmnf:
         raw[4] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionError):
+            read_emnf(path)
+
+    def test_non_finite_feature_names_row(self, tmp_path):
+        path = tmp_path / "d.emnf"
+        write_emnf(FeatureDataset(np.ones((4, 3))), path)
+        raw = bytearray(path.read_bytes())
+        raw[20 + 8 * 7 : 20 + 8 * 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteError, match="row 2"):
             read_emnf(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -283,3 +307,20 @@ def test_dataset_dimension_checks():
         FeatureDataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
     with pytest.raises(DimensionError):
         FeatureDataset(np.zeros(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(value):
+    features = np.zeros((5, 3))
+    features[3, 1] = value
+    features[4, 0] = value
+    with pytest.raises(NonFiniteError, match="row 3"):
+        FeatureDataset(features)
+    FeatureDataset(np.full((2, 3), 1e300))  # large but finite is accepted
+
+
+@pytest.mark.parametrize("labels", [[-1, -1], [-1, 0, 2]])
+def test_label_class_count_rejects_negative_labels(labels):
+    ds = FeatureDataset(np.zeros((len(labels), 2)), labels)
+    with pytest.raises(LabelRangeError):
+        ds.label_class_count()

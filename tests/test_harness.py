@@ -37,9 +37,10 @@ def _task(seed=0):
     return synth_shifted_blobs(cfg)
 
 
-def _trained(seed=0):
+def _trained(seed=0, **hyper_kwargs):
     src, tgt = _task(seed)
-    model = build_model(TopologyConfig(8, 10, 10, 6, seed=seed), 3)
+    hyper = HyperParams(**hyper_kwargs)
+    model = build_model(TopologyConfig(8, 10, 10, 6, seed=seed), 3, hyper)
     train_supervised(model, src, shuffle_seed=seed)
     return model, src, tgt
 
@@ -119,8 +120,8 @@ class TestBench:
         assert report.sample_count == tgt.n_samples
 
     def test_times_one_epoch_of_its_adaptation_config(self):
-        model, _, tgt = _trained(5)
-        acfg = AdaptationConfig(epochs=9, batch_size=16, beta=0.5, shuffle_seed=3)
+        model, _, tgt = _trained(5, batch_size=16, beta=0.5)
+        acfg = AdaptationConfig(epochs=9, shuffle_seed=3)
         report = bench(model, tgt, BenchConfig(repetitions=1, adapt=acfg))
         assert report.forward_passes_per_adapted_sample == 1.0
         assert report.to_dict()["config"] == {
@@ -190,8 +191,8 @@ class TestAblation:
             src,
             tgt,
             TopologyConfig(8, 10, 10, 6, seed=10),
-            HyperParams(),
-            AdaptationConfig(epochs=2, batch_size=32, shuffle_seed=10),
+            HyperParams(batch_size=32),
+            AdaptationConfig(epochs=2, shuffle_seed=10),
             train_seed=10,
         )
         flags = [(v.fuzzy_enabled, v.confidence_enabled) for v in variants]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emn.errors import DimensionError, NotTrainedError
+from emn.errors import ConfigError, DimensionError, NotTrainedError
 from emn.inference import (
     EmnModel,
     _fuse,
@@ -166,3 +166,12 @@ def test_store_size_mismatch_rejected():
     store = init_memory(5, 2)
     with pytest.raises(DimensionError):
         EmnModel(topology, store, 2, HyperParams())
+
+
+def test_model_and_store_must_share_hyperparameters():
+    model, _, _ = _trained_model()
+    other = model.store.copy()
+    other.hyper = HyperParams(beta=0.5)
+    with pytest.raises(ConfigError, match="hyperparameters"):
+        EmnModel(model.topology, other, model.class_count, model.hyper)
+    EmnModel(model.topology, model.store.copy(), model.class_count, HyperParams())
