@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from emn.errors import ConfigError, NotTrainedError
-from emn.inference import EmnModel, labels_from_signals
+from emn.inference import EmnModel, feature_signals, labels_from_signals
 from emn.memory import MemoryStore, _check_batch, _ema_update, log_likelihood
 from emn.memory import batched_updates
-from emn.propagation import propagate_batch
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ def pseudo_label(model: EmnModel, X_target) -> np.ndarray:
     """Predicted labels over the target rows, as an int vector."""
     if not model.trained:
         raise NotTrainedError("model has uninitialized memory units")
-    signals = propagate_batch(model.topology, X_target, model.hyper.rounds)
-    return labels_from_signals(model, signals)
+    return labels_from_signals(model, feature_signals(model, X_target))
 
 
 def reinforced_update(store: MemoryStore, signals, pseudo_labels) -> None:
@@ -103,26 +101,27 @@ def adapt(
     cfg.validate()
     if not model.trained:
         raise NotTrainedError("adapt requires a trained model")
-    X_target = np.asarray(X_target, dtype=np.float64)
-    n = X_target.shape[0]
+    # Memory signals are a pure function of the topology and the inputs,
+    # so each target sample is propagated exactly once for the whole run;
+    # pseudo labels and updates reuse the cached signals.
+    signals = feature_signals(model, X_target)
+    n = signals.shape[0]
     held_out = None if held_out_labels is None else np.asarray(held_out_labels)
     if snapshot_dir is not None:
         snapshot_dir = Path(snapshot_dir)
         snapshot_dir.mkdir(parents=True, exist_ok=True)
 
-    # Memory signals are a pure function of the topology and the inputs,
-    # so each target sample is propagated exactly once for the whole run;
-    # pseudo labels and updates reuse the cached signals.
-    signals = propagate_batch(model.topology, X_target, model.hyper.rounds)
-
+    # The labels after epoch e's update are both its held-out predictions
+    # and epoch e+1's pseudo labels (same store, same signals), so the
+    # kernel runs once before the loop and once per epoch after that, the
+    # last epoch only when its labels are scored.
     history = AdaptationHistory()
+    pseudo = labels_from_signals(model, signals)
     prev_pseudo: np.ndarray | None = None
     for epoch in range(cfg.epochs):
-        pseudo = labels_from_signals(model, signals)
         agreement = float("nan")
         if prev_pseudo is not None and n:
             agreement = float(np.mean(pseudo == prev_pseudo))
-        prev_pseudo = pseudo
 
         start = time.perf_counter()
         batched_updates(
@@ -130,10 +129,12 @@ def adapt(
         )
         elapsed = time.perf_counter() - start
 
+        prev_pseudo = pseudo
+        if held_out is not None or epoch + 1 < cfg.epochs:
+            pseudo = labels_from_signals(model, signals)
         accuracy = None
         if held_out is not None and n:
-            preds = labels_from_signals(model, signals)
-            accuracy = float(np.mean(preds == held_out))
+            accuracy = float(np.mean(pseudo == held_out))
 
         snapshot_path = None
         if snapshot_dir is not None:

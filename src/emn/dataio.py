@@ -24,19 +24,19 @@ from emn.errors import (
     LabelRangeError,
     MagicError,
     MissingLabelsError,
-    NonFiniteError,
     ParseError,
     SchemaVersionError,
     TruncationError,
     VersionError,
 )
-from emn.inference import EmnModel
+from emn.inference import EmnModel, check_finite_rows
 from emn.memory import HyperParams, MemoryStore
 from emn.topology import NetworkTopology, TopologyConfig
 
 EMNF_MAGIC = b"EMNF"
 EMNF_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -48,9 +48,7 @@ class FeatureDataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise DimensionError("features must be a 2-D matrix")
-        bad = ~np.isfinite(self.features).all(axis=1)
-        if bad.any():
-            raise NonFiniteError(f"row {int(bad.argmax())}: features must be finite")
+        check_finite_rows(self.features, "features must be finite")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.features.shape[0],):
@@ -122,6 +120,8 @@ def read_csv(path) -> FeatureDataset:
             features.append([float(v) for v in parts[:dim]])
             if has_label:
                 labels.append(int(parts[dim]))
+                if not _INT64.min <= labels[-1] <= _INT64.max:
+                    raise ValueError(f"label {parts[dim]!r} does not fit in 64 bits")
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
     feats = np.array(features, dtype=np.float64).reshape(len(features), dim)

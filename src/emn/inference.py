@@ -8,7 +8,10 @@ the argmax break toward the lowest class index.
 One kernel serves every caller: ``batch_node_votes`` retrieves the node
 votes of a chunk of rows and ``fused_posteriors_from_signals`` fuses them
 chunk by chunk. ``predict_batch``, pseudo labels, evaluation and
-adaptation all read their posteriors and labels from it.
+adaptation all read their posteriors and labels from it. The kernel works
+class-major (classes x nodes x rows) and keeps the summation order of the
+row-major softmax/argmax formulation in ``tests/oracles.py``, so both give
+the same bits. Labels and predictions refuse a non-finite row.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from emn.errors import ConfigError, DimensionError, NotTrainedError
+from emn.errors import ConfigError, DimensionError, NonFiniteError, NotTrainedError
 from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
     MemoryStore,
     init_memory,
-    softmax,
     store_log_likelihoods,
 )
 from emn.propagation import propagate_batch
@@ -78,21 +80,66 @@ def build_model(
 
 
 def _fuse(posteriors: np.ndarray, confidences: np.ndarray) -> np.ndarray:
-    """Convex combination over nodes; posteriors B x nodes x C."""
+    """Convex combination over nodes; posteriors B x nodes x C.
+
+    Both inputs are read as contiguous rows x nodes copies, so the weight
+    normaliser sums pairwise over nodes and einsum sums over nodes in order,
+    whatever layout the caller holds.
+    """
+    confidences = np.ascontiguousarray(confidences)
     weights = confidences / confidences.sum(axis=1, keepdims=True)
-    return np.einsum("bn,bnc->bc", weights, posteriors)
+    return np.einsum("bn,bnc->bc", weights, np.ascontiguousarray(posteriors))
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Sum over the leading class axis in numpy's pairwise order, so that it
+    equals ``sum(axis=-1)`` of the classes-last layout bit for bit:
+    sequential below 8 classes; up to 128, 8 accumulators over the blocks of
+    8 summed as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in
+    order; above 128, the sum of two halves. A reduction over the leading
+    axis adds slab after slab, which is the sequential order."""
+    n = e.shape[0]
+    if n < 8:
+        return e.sum(axis=0)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _class_sum(e[:half]) + _class_sum(e[half:])
+    blocks = n - n % 8
+    r = e[:8]
+    for lo in range(8, blocks, 8):
+        r = r + e[lo : lo + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for k in range(blocks, n):
+        total += e[k]
+    return total
 
 
 def batch_node_votes(model: EmnModel, signals: np.ndarray):
-    """Posteriors, labels, and confidences for every node of every row."""
-    log_lik = store_log_likelihoods(model.store, signals)  # B x nodes x C
-    posteriors = softmax(log_lik, axis=2)
-    labels = np.argmax(posteriors, axis=2)
-    picked = np.take_along_axis(log_lik, labels[:, :, None], axis=2)[:, :, 0]
-    confidences = np.maximum(np.exp(picked), CONFIDENCE_FLOOR)
-    if not model.hyper.confidence_enabled:
-        confidences = np.ones_like(confidences)
-    return posteriors, labels, confidences
+    """Posteriors, labels, and confidences for every node of every row.
+
+    Computed on classes x nodes x rows arrays, so every reduction over
+    classes is an elementwise pass across class slabs; returned as
+    B x nodes x C, B x nodes and B x nodes views. A node's posterior is the
+    softmax of its class log likelihoods, its label the first class at the
+    maximum posterior (0 when every class is NaN, as ``np.argmax``), and its
+    confidence the likelihood of its label, floored.
+    """
+    log_lik = store_log_likelihoods(model.store, signals).transpose(2, 1, 0)
+    posteriors = log_lik - log_lik.max(axis=0)
+    np.exp(posteriors, posteriors)
+    posteriors /= _class_sum(posteriors)
+    # The first class not below the maximum; NaN != NaN, so all-NaN gives 0.
+    labels = (posteriors != posteriors.max(axis=0)).argmin(axis=0)
+    if model.hyper.confidence_enabled:
+        cells = labels.size
+        flat = labels.reshape(-1) * cells + np.arange(cells)
+        picked = log_lik.reshape(-1)[flat].reshape(labels.shape)
+        confidences = np.maximum(np.exp(picked), CONFIDENCE_FLOOR)
+    else:
+        confidences = np.ones(labels.shape)
+    return posteriors.transpose(2, 1, 0), labels.T, confidences.T
 
 
 def _row_chunks(model: EmnModel, signals: np.ndarray):
@@ -110,9 +157,33 @@ def fused_posteriors_from_signals(model: EmnModel, signals: np.ndarray) -> np.nd
     return fused
 
 
+def check_finite_rows(rows: np.ndarray, problem: str) -> None:
+    """Raise ``NonFiniteError`` naming the first row that holds NaN or inf."""
+    if not np.isfinite(rows).all():
+        bad = int((~np.isfinite(rows).all(axis=1)).argmax())
+        raise NonFiniteError(f"row {bad}: {problem}")
+
+
+def feature_signals(model: EmnModel, X) -> np.ndarray:
+    """Memory signals of a 2-D batch of finite feature rows."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionError(f"expected a 2-D batch, got shape {X.shape}")
+    check_finite_rows(X, "features must be finite")
+    return propagate_batch(model.topology, X, model.hyper.rounds)
+
+
+def _checked_fused(model: EmnModel, signals: np.ndarray) -> np.ndarray:
+    """Fused posteriors; a row whose features overflow retrieval (a
+    non-finite posterior) is a data error, not a label."""
+    fused = fused_posteriors_from_signals(model, signals)
+    check_finite_rows(fused, "fused posterior is not finite; features too large")
+    return fused
+
+
 def labels_from_signals(model: EmnModel, signals: np.ndarray) -> np.ndarray:
     """Fused predicted labels from precomputed memory signals."""
-    fused = fused_posteriors_from_signals(model, signals)
+    fused = _checked_fused(model, signals)
     return np.argmax(fused, axis=1).astype(np.int64)
 
 
@@ -120,11 +191,7 @@ def predict_batch(model: EmnModel, X) -> list[Prediction]:
     """Rowwise prediction; order preserved, model left untouched."""
     if not model.trained:
         raise NotTrainedError("model has uninitialized memory units")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionError(f"expected a 2-D batch, got shape {X.shape}")
-    signals = propagate_batch(model.topology, X, model.hyper.rounds)
-    fused = fused_posteriors_from_signals(model, signals)
+    fused = _checked_fused(model, feature_signals(model, X))
     # A copy, so a kept Prediction does not pin the whole matrix.
     return [Prediction(int(np.argmax(row)), row.copy()) for row in fused]
 

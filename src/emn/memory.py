@@ -10,10 +10,11 @@ batch EMA with temperature ``HyperParams.beta``: supervised rows weigh 1,
 reinforced rows their confidence. The first update of a (node, class)
 pair takes the batch statistics as they are. Both run through one loop
 over shuffled batches of ``HyperParams.batch_size`` rows.
-Retrieval works in log space: ``log_likelihood`` is the one dispatch
-between the blurred and the plain class density, used both by
+Retrieval works in log space: ``_log_terms`` is the one dispatch between
+the blurred and the plain class density, used both by
 ``store_log_likelihoods`` (every node and class of a batch of rows, the
-input of fusion in ``emn.inference``) and by the reinforced update.
+input of fusion in ``emn.inference``) and, through ``log_likelihood``, by
+the reinforced update.
 """
 
 from __future__ import annotations
@@ -152,54 +153,52 @@ def batched_updates(update, store: MemoryStore, signals, labels, seed: int) -> N
         update(store, signals[idx], labels[idx])
 
 
-def log_fuzzy_likelihood(mu, sigma, sigma1: float, m_hat):
-    """ln of the Gaussian-blurred class likelihood (bounded above by 0.5),
-    without forming the underflowing exponential."""
-    if sigma1 <= 0.0:
-        raise ConfigError(f"sigma1 must be positive, got {sigma1}")
-    mu = np.asarray(mu, dtype=np.float64)
+def _log_terms(hyper: HyperParams, sigma):
+    """Per (node, class) ``(offset, scale)`` of the class log likelihood
+    ``offset - (m_hat - mu)**2 / scale``: blurred when fuzzy is on, else the
+    plain density with sigma as the variance term, floored at the smallest
+    positive normal so degenerate (zero-spread) memories stay finite."""
     sigma = np.asarray(sigma, dtype=np.float64)
-    m_hat = np.asarray(m_hat, dtype=np.float64)
-    denom = 2.0 * sigma + sigma1
-    out = (
-        0.5 * np.log(sigma1)
-        - np.log(2.0)
-        - 0.5 * np.log(denom)
-        - ((m_hat - mu) ** 2) / denom
-    )
-    return out if out.ndim else float(out)
-
-
-def log_plain_likelihood(mu, sigma, m_hat):
-    """Log of the unblurred class density; sigma acts as the variance term.
-
-    sigma is floored at the smallest positive normal so degenerate
-    (zero-spread) memories stay finite.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.maximum(np.asarray(sigma, dtype=np.float64), CONFIDENCE_FLOOR)
-    m_hat = np.asarray(m_hat, dtype=np.float64)
-    out = -0.5 * (_LOG_2PI + np.log(sigma)) - ((m_hat - mu) ** 2) / (2.0 * sigma)
-    return out if out.ndim else float(out)
+    if hyper.fuzzy_enabled:
+        sigma1 = hyper.sigma1
+        if sigma1 <= 0.0:
+            raise ConfigError(f"sigma1 must be positive, got {sigma1}")
+        denom = 2.0 * sigma + sigma1
+        return 0.5 * np.log(sigma1) - np.log(2.0) - 0.5 * np.log(denom), denom
+    sigma = np.maximum(sigma, CONFIDENCE_FLOOR)
+    return -0.5 * (_LOG_2PI + np.log(sigma)), 2.0 * sigma
 
 
 def log_likelihood(hyper: HyperParams, mu, sigma, m_hat):
     """Class log likelihood of memory signals: blurred when fuzzy is on."""
-    if hyper.fuzzy_enabled:
-        return log_fuzzy_likelihood(mu, sigma, hyper.sigma1, m_hat)
-    return log_plain_likelihood(mu, sigma, m_hat)
+    offset, scale = _log_terms(hyper, sigma)
+    mu, m_hat = (np.asarray(a, dtype=np.float64) for a in (mu, m_hat))
+    out = offset - (m_hat - mu) ** 2 / scale
+    return out if out.ndim else float(out)
 
 
-def softmax(log_values: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = log_values - log_values.max(axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+def log_fuzzy_likelihood(mu, sigma, sigma1: float, m_hat):
+    """ln of the Gaussian-blurred class likelihood (bounded above by 0.5),
+    without forming the underflowing exponential."""
+    return log_likelihood(HyperParams(sigma1=sigma1), mu, sigma, m_hat)
 
 
 def store_log_likelihoods(store: MemoryStore, signals: np.ndarray) -> np.ndarray:
-    """Vectorized class log likelihoods: B x nodes x classes."""
+    """Class log likelihoods of every node for a batch of rows.
+
+    Computed in place in one C-contiguous classes x nodes x rows buffer, so
+    reductions over classes run across whole slabs; returned as its
+    rows x nodes x classes view.
+    """
     if not store.fully_initialized:
         raise NotTrainedError("memory store has uninitialized (node, class) pairs")
-    m = np.asarray(signals, dtype=np.float64)[:, :, None]
-    return log_likelihood(store.hyper, store.mu[None], store.sigma[None], m)
+    # Contiguous copies of signals.T, mu.T and sigma.T: every pass below
+    # then runs unit-stride.
+    m = np.ascontiguousarray(np.transpose(signals), dtype=np.float64)
+    offset, scale = _log_terms(store.hyper, store.sigma.T.copy()[:, :, None])
+    out = np.empty((store.class_count, store.node_count, m.shape[1]))
+    np.subtract(m, store.mu.T.copy()[:, :, None], out)
+    np.square(out, out)
+    np.divide(out, scale, out)
+    np.subtract(offset, out, out)
+    return out.transpose(2, 1, 0)

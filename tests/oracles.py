@@ -7,6 +7,7 @@ paths they check.
 import numpy as np
 
 from emn.errors import ConfigError
+from emn.memory import CONFIDENCE_FLOOR
 
 
 def reference_propagate(topology, x, T: int) -> np.ndarray:
@@ -51,3 +52,50 @@ def fuzzy_likelihood(mu, sigma, sigma1: float, m_hat):
     denom = 2.0 * sigma + sigma1
     q = np.sqrt(sigma1) / (2.0 * np.sqrt(denom)) * np.exp(-((m_hat - mu) ** 2) / denom)
     return q if q.ndim else float(q)
+
+
+def softmax(log_values: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = log_values - log_values.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def reference_log_likelihoods(store, signals) -> np.ndarray:
+    """Rows x nodes x classes class log likelihoods, broadcast over rows."""
+    hyper = store.hyper
+    mu, sigma = store.mu[None], store.sigma[None]
+    m = np.asarray(signals, dtype=np.float64)[:, :, None]
+    if hyper.fuzzy_enabled:
+        denom = 2.0 * sigma + hyper.sigma1
+        return (
+            0.5 * np.log(hyper.sigma1)
+            - np.log(2.0)
+            - 0.5 * np.log(denom)
+            - ((m - mu) ** 2) / denom
+        )
+    sigma = np.maximum(sigma, CONFIDENCE_FLOOR)
+    return -0.5 * (np.log(2.0 * np.pi) + np.log(sigma)) - ((m - mu) ** 2) / (
+        2.0 * sigma
+    )
+
+
+def reference_node_votes(model, signals):
+    """Row-major node votes: softmax, argmax and the picked likelihood over
+    the innermost class axis. Returns posteriors, labels and confidences
+    as ``emn.inference.batch_node_votes`` must return them bit for bit."""
+    log_lik = reference_log_likelihoods(model.store, signals)
+    posteriors = softmax(log_lik, axis=2)
+    labels = np.argmax(posteriors, axis=2)
+    picked = np.take_along_axis(log_lik, labels[:, :, None], axis=2)[:, :, 0]
+    confidences = np.maximum(np.exp(picked), CONFIDENCE_FLOOR)
+    if not model.hyper.confidence_enabled:
+        confidences = np.ones_like(confidences)
+    return posteriors, labels, confidences
+
+
+def reference_fused_posteriors(model, signals) -> np.ndarray:
+    """Confidence-weighted mean of the node posteriors of every row."""
+    posteriors, _, confidences = reference_node_votes(model, signals)
+    weights = confidences / confidences.sum(axis=1, keepdims=True)
+    return np.einsum("bn,bnc->bc", weights, posteriors)

@@ -30,13 +30,12 @@ from emn.memory import (
     HyperParams,
     init_memory,
     log_fuzzy_likelihood,
-    softmax,
     supervised_update,
 )
 from emn.adaptation import reinforced_update
 from emn.propagation import propagate, propagate_batch, propagate_trace
 from emn.topology import TopologyConfig, build_topology
-from oracles import fuzzy_likelihood, reference_propagate
+from oracles import fuzzy_likelihood, reference_propagate, softmax
 
 PINNED_TASK = dict(
     class_count=3,

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from emn import adaptation
 from emn.adaptation import (
     AdaptationConfig,
     adapt,
@@ -10,8 +11,8 @@ from emn.adaptation import (
     reinforced_update,
 )
 from emn.errors import ConfigError, NotTrainedError
-from emn.inference import EmnModel, build_model, predict_batch
-from emn.memory import HyperParams, init_memory, supervised_update
+from emn.inference import EmnModel, build_model, labels_from_signals, predict_batch
+from emn.memory import HyperParams, batched_updates, init_memory, supervised_update
 from emn.propagation import propagate_batch
 from emn.topology import TopologyConfig
 
@@ -188,3 +189,49 @@ class TestAdapt:
         model = build_model(TopologyConfig(4, 2, 2, 2, seed=0), 2)
         with pytest.raises(NotTrainedError):
             adapt(model, np.zeros((1, 4)), AdaptationConfig(epochs=1))
+
+
+def _reference_adapt(model, X, cfg, held_out):
+    """The adapt loop that labels at the start of every epoch and again,
+    for the accuracy, at its end; returns (agreement, accuracy) per epoch."""
+    signals = propagate_batch(model.topology, X, model.hyper.rounds)
+    records, prev = [], None
+    for epoch in range(cfg.epochs):
+        pseudo = labels_from_signals(model, signals)
+        agreement = float("nan") if prev is None else float(np.mean(pseudo == prev))
+        prev = pseudo
+        batched_updates(
+            reinforced_update, model.store, signals, pseudo, cfg.shuffle_seed ^ epoch
+        )
+        accuracy = None
+        if held_out is not None:
+            accuracy = float(np.mean(labels_from_signals(model, signals) == held_out))
+        records.append((agreement, accuracy))
+    return records
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["held-out", "unlabeled"])
+def test_adapt_labels_once_per_epoch_plus_one(monkeypatch, labeled):
+    model, X, y = _trained_model(seed=11, batch_size=16)
+    X = X + np.random.default_rng(11).normal(size=X.shape) * 1.5  # labels drift
+    held_out = y if labeled else None
+    cfg = AdaptationConfig(epochs=5, shuffle_seed=2)
+    twin = EmnModel(model.topology, model.store.copy(), model.class_count, model.hyper)
+    want = _reference_adapt(twin, X, cfg, held_out)
+
+    calls = []
+
+    def counted(m, signals):
+        calls.append(1)
+        return labels_from_signals(m, signals)
+
+    monkeypatch.setattr(adaptation, "labels_from_signals", counted)
+    history = adapt(model, X, cfg, held_out_labels=held_out)
+    assert len(calls) == cfg.epochs + (1 if labeled else 0)
+    got = [(r.pseudo_label_agreement, r.accuracy) for r in history.records]
+    np.testing.assert_array_equal(
+        np.array(got, dtype=float), np.array(want, dtype=float)
+    )
+    assert any(a < 1.0 for a, _ in got[1:])  # the labels did move
+    assert np.array_equal(model.store.mu, twin.store.mu)
+    assert np.array_equal(model.store.sigma, twin.store.sigma)

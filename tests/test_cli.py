@@ -371,7 +371,8 @@ def test_config_file_not_utf8_is_a_config_error(task_files, tmp_path, capsys):
     assert "UTF-8" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300"])
 def test_predict_on_non_finite_feature_is_a_data_error(
     model_file, tmp_path, capsys, value
 ):
@@ -381,6 +382,24 @@ def test_predict_on_non_finite_feature_is_a_data_error(
     code, out, err = _run(
         capsys, "predict", "--model", str(model_file), "--target", str(bad)
     )
+    assert code == 3
+    assert "row 1" in err and "finite" in err
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+def test_overflowing_feature_is_a_data_error(
+    model_file, tmp_path, capsys, command
+):
+    # 1e300 is finite, so the dataset accepts it; retrieval overflows.
+    bad = tmp_path / "bad.csv"
+    header = ",".join(f"f{i}" for i in range(8)) + ",label\n"
+    bad.write_text(header + "0.0," * 8 + "0\n" + "0.0," * 7 + "1e300,1\n")
+    argv = [command, "--model", str(model_file), "--target", str(bad)]
+    if command == "adapt":
+        argv += ["--out", str(tmp_path / "adapted.json")]
+    code, out, err = _run(capsys, *argv)
     assert code == 3
     assert "row 1" in err and "finite" in err
     assert out == ""

@@ -68,6 +68,13 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_csv(path)
 
+    @pytest.mark.parametrize("label", ["9" * 30, "-9223372036854775809"])
+    def test_label_beyond_64_bits_names_line(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_csv(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_feature_names_row(self, tmp_path, value):
         path = tmp_path / "bad.csv"

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from emn.errors import ConfigError, DimensionError, NotTrainedError
+from emn.adaptation import AdaptationConfig, adapt, pseudo_label
+from emn.dataio import FeatureDataset
+from emn.errors import ConfigError, DimensionError, NonFiniteError, NotTrainedError
+from emn.harness import evaluate
 from emn.inference import (
     EmnModel,
     _fuse,
     batch_node_votes,
     build_model,
     fused_posteriors_from_signals,
+    labels_from_signals,
     predict,
     predict_batch,
 )
@@ -175,3 +179,42 @@ def test_model_and_store_must_share_hyperparameters():
     with pytest.raises(ConfigError, match="hyperparameters"):
         EmnModel(model.topology, other, model.class_count, model.hyper)
     EmnModel(model.topology, model.store.copy(), model.class_count, HyperParams())
+
+
+# A finite 1e300 passes the feature check and overflows retrieval instead.
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, 1e300]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", SPECIAL_VALUES, ids=str)
+def test_non_finite_row_is_a_data_error_at_every_entry_point(value):
+    model, X, y = _trained_model(seed=8)
+    X, y = X[:5].copy(), y[:5]
+    X[3, 2] = value
+    mu_before = model.store.mu.copy()
+    calls = {
+        "predict_batch": lambda: predict_batch(model, X),
+        "pseudo_label": lambda: pseudo_label(model, X),
+        "adapt": lambda: adapt(model, X, AdaptationConfig(epochs=2)),
+        "adapt held-out": lambda: adapt(model, X, AdaptationConfig(epochs=2), y),
+        "evaluate": lambda: evaluate(model, FeatureDataset(X, y)),
+    }
+    for call in calls.values():
+        with pytest.raises(NonFiniteError, match="row 3"):
+            call()
+    with pytest.raises(NonFiniteError, match="row 0"):
+        predict(model, X[3])
+    assert np.array_equal(model.store.mu, mu_before)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", SPECIAL_VALUES, ids=str)
+def test_non_finite_signal_row_is_a_data_error(value):
+    # labels_from_signals checks the fused posterior; the fusion kernel
+    # itself returns it unchecked.
+    model, X, _ = _trained_model(seed=9)
+    signals = propagate_batch(model.topology, X[:4], model.hyper.rounds)
+    signals[2] = value
+    assert not np.isfinite(fused_posteriors_from_signals(model, signals)[2]).all()
+    with pytest.raises(NonFiniteError, match="row 2"):
+        labels_from_signals(model, signals)

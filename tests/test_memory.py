@@ -12,11 +12,10 @@ from emn.memory import (
     HyperParams,
     init_memory,
     log_fuzzy_likelihood,
-    softmax,
     supervised_update,
 )
 from emn.topology import TopologyConfig
-from oracles import fuzzy_likelihood
+from oracles import fuzzy_likelihood, softmax
 
 Q0 = 1.0 / (2.0 * math.sqrt(3.0))  # fuzzy_likelihood(0, 1, 1, 0)
 
