@@ -29,7 +29,6 @@ from emn.memory import (
     HyperParams,
     MemoryStore,
     init_memory,
-    log_fuzzy_likelihood,
     supervised_update,
 )
 from emn.propagation import (

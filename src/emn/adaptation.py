@@ -27,7 +27,7 @@ class AdaptationConfig:
     epochs: int = 16
     shuffle_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
 
@@ -55,8 +55,6 @@ class AdaptationHistory:
 
 def pseudo_label(model: EmnModel, X_target) -> np.ndarray:
     """Predicted labels over the target rows, as an int vector."""
-    if not model.trained:
-        raise NotTrainedError("model has uninitialized memory units")
     return labels_from_signals(model, feature_signals(model, X_target))
 
 
@@ -98,25 +96,23 @@ def adapt(
 ) -> AdaptationHistory:
     """Run reinforced memorization for cfg.epochs with the model's beta and
     batch size; mutates model in place."""
-    cfg.validate()
-    if not model.trained:
-        raise NotTrainedError("adapt requires a trained model")
     # Memory signals are a pure function of the topology and the inputs,
     # so each target sample is propagated exactly once for the whole run;
     # pseudo labels and updates reuse the cached signals.
     signals = feature_signals(model, X_target)
     n = signals.shape[0]
     held_out = None if held_out_labels is None else np.asarray(held_out_labels)
-    if snapshot_dir is not None:
-        snapshot_dir = Path(snapshot_dir)
-        snapshot_dir.mkdir(parents=True, exist_ok=True)
 
     # The labels after epoch e's update are both its held-out predictions
     # and epoch e+1's pseudo labels (same store, same signals), so the
     # kernel runs once before the loop and once per epoch after that, the
-    # last epoch only when its labels are scored.
+    # last epoch only when its labels are scored. The first pass also
+    # refuses an untrained store before anything is written.
     history = AdaptationHistory()
     pseudo = labels_from_signals(model, signals)
+    if snapshot_dir is not None:
+        snapshot_dir = Path(snapshot_dir)
+        snapshot_dir.mkdir(parents=True, exist_ok=True)
     prev_pseudo: np.ndarray | None = None
     for epoch in range(cfg.epochs):
         agreement = float("nan")

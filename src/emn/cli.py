@@ -152,9 +152,7 @@ def _set_update_rule(r: Resolver, model) -> None:
     """--beta/--batch-size replace the loaded model's, on the model and its
     store alike, so adaptation uses them and a saved model keeps them."""
     rule = r.fields(HyperParams, "beta", "batch_size")
-    hyper = dataclasses.replace(model.hyper, **rule)
-    hyper.validate()
-    model.hyper = model.store.hyper = hyper
+    model.hyper = model.store.hyper = dataclasses.replace(model.hyper, **rule)
 
 
 def _emit(args, text: str) -> None:

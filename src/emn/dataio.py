@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +69,6 @@ class FeatureDataset:
         if self.labels.min() < 0:
             raise LabelRangeError("labels must be non-negative")
         return int(self.labels.max()) + 1
-
-    def check_labels_in_range(self, class_count: int) -> None:
-        if self.labels is not None and self.labels.size:
-            if self.labels.min() < 0 or self.labels.max() >= class_count:
-                raise LabelRangeError(f"labels must lie in [0, {class_count})")
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +166,18 @@ def read_emnf(path) -> FeatureDataset:
         )
         if version != EMNF_VERSION:
             raise VersionError(f"unsupported EMNF version {version}")
-        feats = np.frombuffer(
-            _read_exact(f, 8 * n * dim, "feature payload"), dtype="<f8"
-        ).reshape(n, dim)
-        labels = None
-        if flags & 1:
-            labels = np.frombuffer(
-                _read_exact(f, 4 * n, "label payload"), dtype="<i4"
-            ).astype(np.int64)
+        # Read what the file holds, never what the untrusted header claims.
+        payload = f.read()
+    size = 8 * n * dim + (4 * n if flags & 1 else 0)
+    if len(payload) < size:
+        raise TruncationError(
+            f"header declares {size} payload bytes, the file holds {len(payload)}"
+        )
+    feats = np.frombuffer(payload, dtype="<f8", count=n * dim).reshape(n, dim)
+    labels = None
+    if flags & 1:
+        labels = np.frombuffer(payload, "<i4", count=n, offset=8 * n * dim)
+        labels = labels.astype(np.int64)
     return FeatureDataset(feats.astype(np.float64), labels)
 
 
@@ -212,7 +211,7 @@ class SynthConfig:
     shift_vector_norm: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.class_count < 2:
             raise ConfigError("class_count must be >= 2")
         if self.dim < 1 or self.samples_per_class < 1:
@@ -227,7 +226,6 @@ def synth_shifted_blobs(cfg: SynthConfig) -> tuple[FeatureDataset, FeatureDatase
     """Gaussian blobs; the target domain is the source translated by a
     fixed random vector of the configured norm. Draw order: class means,
     shift direction, source noise, target noise."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     means = rng.normal(0.0, cfg.class_mean_scale, size=(cfg.class_count, cfg.dim))
     direction = rng.normal(size=cfg.dim)
@@ -309,24 +307,36 @@ def load_model(path) -> EmnModel:
         return _model_from_payload(payload, path)
     except KeyError as exc:
         raise IntegrityError(f"{path}: missing key {exc}") from None
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise IntegrityError(f"{path}: {exc}") from None
 
 
+def _config(cls, values: dict, path):
+    """``cls(**values)``, each value a JSON value of its field's type (an
+    integer may stand for a float); annotations are postponed, so a field's
+    type is its name."""
+    allowed = {"int": (int,), "float": (int, float), "bool": (bool,)}
+    for f in fields(cls):
+        if f.name in values and type(values[f.name]) not in allowed[f.type]:
+            raise IntegrityError(f"{path}: {f.name} must be a JSON {f.type}")
+    return cls(**values)
+
+
 def _model_from_payload(payload: dict, path) -> EmnModel:
-    tcfg = TopologyConfig(**payload["topology"]["config"])
-    hyper = HyperParams(**payload["hyper"])
-    tcfg.validate()
-    hyper.validate()
+    tcfg = _config(TopologyConfig, payload["topology"]["config"], path)
+    hyper = _config(HyperParams, payload["hyper"], path)
 
     n = tcfg.node_count
     edges, weights = payload["topology"]["edges"], payload["topology"]["weights"]
     if len(edges) != n or len(weights) != n:
         raise IntegrityError(f"{path}: edge and weight lists must cover {n} nodes")
+    # JSON integers only: a cast would turn 0.5 or true into edge 0.
+    if not {type(e) for p in edges for e in p} <= {int}:
+        raise IntegrityError(f"{path}: edge ids must be JSON integers")
     preds = [np.array(p, dtype=np.int64) for p in edges]
     weights = [np.array(w, dtype=np.float64) for w in weights]
     for i, (p, w) in enumerate(zip(preds, weights)):
-        if p.ndim != 1 or p.shape != w.shape:
+        if p.shape != w.shape:
             raise IntegrityError(f"{path}: node {i}: edges and weights misaligned")
         if p.size and (p.min() < 0 or p.max() >= n):
             raise IntegrityError(f"{path}: node {i}: edge id outside [0, {n})")
@@ -351,7 +361,7 @@ def _model_from_payload(payload: dict, path) -> EmnModel:
     mu, sigma = arrays["mu"], arrays["sigma"]
     if not (np.isfinite(mu).all() and (np.isfinite(sigma) & (sigma >= 0.0)).all()):
         raise IntegrityError(f"{path}: memory mu must be finite, sigma finite and >= 0")
-    store = MemoryStore(**arrays, class_count=class_count, hyper=hyper)
+    store = MemoryStore(**arrays, hyper=hyper)
     return EmnModel(
         topology, store, class_count, hyper, dict(payload.get("metadata", {}))
     )

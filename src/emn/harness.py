@@ -19,7 +19,7 @@ from emn.errors import (
     UsageError,
 )
 from emn.inference import EmnModel, build_model, predict_batch
-from emn.memory import HyperParams, batched_updates, supervised_update
+from emn.memory import HyperParams, batched_updates, check_label_range, supervised_update
 from emn.propagation import propagate_batch
 from emn.topology import TopologyConfig
 
@@ -63,7 +63,7 @@ class BenchConfig:
     repetitions: int = 5
     adapt: AdaptationConfig = field(default_factory=AdaptationConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise UsageError("repetitions must be >= 1")
 
@@ -103,7 +103,6 @@ def bench(
     pass, on a copy of the model. Monotonic clock; absolute times are
     hardware-dependent and never asserted."""
     cfg = cfg or BenchConfig()
-    cfg.validate()
     n = target.n_samples
     if n == 0:
         raise UsageError("bench requires a non-empty dataset")
@@ -186,7 +185,7 @@ def train_supervised(
     """One shuffled pass of batched supervised memory updates."""
     if source.labels is None:
         raise MissingLabelsError("supervised training requires labels")
-    source.check_labels_in_range(model.class_count)
+    check_label_range(source.labels, model.class_count)
     # Rows propagate independently, so the source is propagated once and
     # each shuffled batch slices its signals.
     signals = propagate_batch(model.topology, source.features, model.hyper.rounds)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from emn.errors import ConfigError, DimensionError, NonFiniteError, NotTrainedError
+from emn.errors import ConfigError, DimensionError, NonFiniteError
 from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
@@ -49,10 +49,6 @@ class EmnModel:
             raise DimensionError("store class count does not match model")
         if self.store.hyper != self.hyper:
             raise ConfigError("store hyperparameters do not match model")
-
-    @property
-    def trained(self) -> bool:
-        return self.store.fully_initialized
 
 
 @dataclass(frozen=True)
@@ -143,9 +139,10 @@ def batch_node_votes(model: EmnModel, signals: np.ndarray):
 
 
 def _row_chunks(model: EmnModel, signals: np.ndarray):
-    """Row slices of at most ``_CHUNK_CELLS`` cells; rows fuse independently."""
+    """Row slices of at most ``_CHUNK_CELLS`` cells; rows fuse independently.
+    An empty batch is one empty slice, so retrieval still checks the store."""
     step = max(1, _CHUNK_CELLS // max(1, signals.shape[1] * model.class_count))
-    return (slice(lo, lo + step) for lo in range(0, signals.shape[0], step))
+    return (slice(lo, lo + step) for lo in range(0, max(1, signals.shape[0]), step))
 
 
 def fused_posteriors_from_signals(model: EmnModel, signals: np.ndarray) -> np.ndarray:
@@ -175,8 +172,10 @@ def feature_signals(model: EmnModel, X) -> np.ndarray:
 
 def _checked_fused(model: EmnModel, signals: np.ndarray) -> np.ndarray:
     """Fused posteriors; a row whose features overflow retrieval (a
-    non-finite posterior) is a data error, not a label."""
-    fused = fused_posteriors_from_signals(model, signals)
+    non-finite posterior) is a data error, not a label, so the kernel's
+    overflow warnings say nothing more."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = fused_posteriors_from_signals(model, signals)
     check_finite_rows(fused, "fused posterior is not finite; features too large")
     return fused
 
@@ -189,8 +188,6 @@ def labels_from_signals(model: EmnModel, signals: np.ndarray) -> np.ndarray:
 
 def predict_batch(model: EmnModel, X) -> list[Prediction]:
     """Rowwise prediction; order preserved, model left untouched."""
-    if not model.trained:
-        raise NotTrainedError("model has uninitialized memory units")
     fused = _checked_fused(model, feature_signals(model, X))
     # A copy, so a kept Prediction does not pin the whole matrix.
     return [Prediction(int(np.argmax(row)), row.copy()) for row in fused]

@@ -46,11 +46,11 @@ class HyperParams:
     confidence_normalized: bool = False
     literal_batch_divisor: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
-        if self.fuzzy_enabled and self.sigma1 <= 0.0:
-            raise ConfigError(f"sigma1 must be positive, got {self.sigma1}")
+        if self.fuzzy_enabled and not 0.0 < self.sigma1 < np.inf:
+            raise ConfigError(f"sigma1 must be positive and finite, got {self.sigma1}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.rounds < 1:
@@ -62,19 +62,21 @@ class MemoryStore:
     mu: np.ndarray  # nodes x classes
     sigma: np.ndarray  # nodes x classes
     initialized: np.ndarray  # nodes x classes, bool
-    class_count: int
     hyper: HyperParams
 
     @property
     def node_count(self) -> int:
         return self.mu.shape[0]
 
+    @property
+    def class_count(self) -> int:
+        return self.mu.shape[1]
+
     def copy(self) -> "MemoryStore":
         return MemoryStore(
             self.mu.copy(),
             self.sigma.copy(),
             self.initialized.copy(),
-            self.class_count,
             self.hyper,
         )
 
@@ -91,13 +93,11 @@ def init_memory(
     if class_count < 1:
         raise ConfigError(f"class_count must be >= 1, got {class_count}")
     hyper = hyper or HyperParams()
-    hyper.validate()
     shape = (node_count, class_count)
     return MemoryStore(
         mu=np.zeros(shape),
         sigma=np.zeros(shape),
         initialized=np.zeros(shape, dtype=bool),
-        class_count=class_count,
         hyper=hyper,
     )
 
@@ -111,11 +111,13 @@ def _check_batch(store: MemoryStore, signals: np.ndarray, labels: np.ndarray):
         )
     if labels.shape != (signals.shape[0],):
         raise DimensionError("labels must align with signal rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= store.class_count):
-        raise LabelRangeError(
-            f"labels must lie in [0, {store.class_count})"
-        )
+    check_label_range(labels, store.class_count)
     return signals, labels.astype(np.int64)
+
+
+def check_label_range(labels: np.ndarray, class_count: int) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        raise LabelRangeError(f"labels must lie in [0, {class_count})")
 
 
 def _ema_update(store: MemoryStore, k: int, rows, weights, divisor) -> None:
@@ -161,8 +163,6 @@ def _log_terms(hyper: HyperParams, sigma):
     sigma = np.asarray(sigma, dtype=np.float64)
     if hyper.fuzzy_enabled:
         sigma1 = hyper.sigma1
-        if sigma1 <= 0.0:
-            raise ConfigError(f"sigma1 must be positive, got {sigma1}")
         denom = 2.0 * sigma + sigma1
         return 0.5 * np.log(sigma1) - np.log(2.0) - 0.5 * np.log(denom), denom
     sigma = np.maximum(sigma, CONFIDENCE_FLOOR)
@@ -175,12 +175,6 @@ def log_likelihood(hyper: HyperParams, mu, sigma, m_hat):
     mu, m_hat = (np.asarray(a, dtype=np.float64) for a in (mu, m_hat))
     out = offset - (m_hat - mu) ** 2 / scale
     return out if out.ndim else float(out)
-
-
-def log_fuzzy_likelihood(mu, sigma, sigma1: float, m_hat):
-    """ln of the Gaussian-blurred class likelihood (bounded above by 0.5),
-    without forming the underflowing exponential."""
-    return log_likelihood(HyperParams(sigma1=sigma1), mu, sigma, m_hat)
 
 
 def store_log_likelihoods(store: MemoryStore, signals: np.ndarray) -> np.ndarray:

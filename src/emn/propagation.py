@@ -200,36 +200,34 @@ def _run(topology: NetworkTopology, X: np.ndarray, T: int, trace: bool):
     return m, (PropagationTrace(rounds) if trace else None)
 
 
-def _check_input(topology: NetworkTopology, X: np.ndarray, T: int) -> np.ndarray:
+def _check_input(topology: NetworkTopology, x, T: int, single: bool) -> np.ndarray:
+    """``x`` as float64 rows: one vector or one row if ``single``, else 2-D."""
     if T < 1:
         raise ConfigError(f"round count T must be >= 1, got {T}")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = np.asarray(x, dtype=np.float64)
+    if single and X.ndim < 2:
+        X = X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != topology.feature_dim:
         raise DimensionError(
             f"expected feature dimension {topology.feature_dim}, "
             f"got shape {X.shape}"
         )
+    if single and X.shape[0] != 1:
+        raise DimensionError("expected a single feature vector")
     return X
 
 
 def propagate(topology: NetworkTopology, x, T: int) -> np.ndarray:
     """Steady memory signals of the hub+bridging nodes for one instance,
     aligned with ``topology.memory_node_ids``."""
-    X = _check_input(topology, np.atleast_1d(np.asarray(x, dtype=np.float64)), T)
-    if X.shape[0] != 1:
-        raise DimensionError("propagate expects a single feature vector")
+    X = _check_input(topology, x, T, single=True)
     m, _ = _run(topology, X, T, trace=False)
     return m[0]
 
 
 def propagate_batch(topology: NetworkTopology, X, T: int) -> np.ndarray:
     """Rowwise propagate; returns a B x (hub+bridging) matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionError(f"expected a 2-D batch, got shape {X.shape}")
-    X = _check_input(topology, X, T)
+    X = _check_input(topology, X, T, single=False)
     m, _ = _run(topology, X, T, trace=False)
     return m
 
@@ -238,7 +236,7 @@ def propagate_trace(
     topology: NetworkTopology, x, T: int
 ) -> tuple[np.ndarray, PropagationTrace]:
     """As propagate, also recording per-round activation snapshots."""
-    X = _check_input(topology, np.atleast_1d(np.asarray(x, dtype=np.float64)), T)
+    X = _check_input(topology, x, T, single=True)
     m, tr = _run(topology, X, T, trace=True)
     assert tr is not None
     return m[0], tr

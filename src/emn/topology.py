@@ -37,7 +37,7 @@ class TopologyConfig:
         """Entrance, then hub, then bridging node ids cover [0, node_count)."""
         return self.feature_dim + self.hub_count + self.bridging_count
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be positive")
         if self.hub_count < 1:
@@ -94,7 +94,6 @@ class NetworkTopology:
 
 def build_topology(cfg: TopologyConfig) -> NetworkTopology:
     """Construct the seeded hybrid random graph. Pure function of cfg."""
-    cfg.validate()
     d, h, n = cfg.feature_dim, cfg.hub_count, cfg.node_count
     rng = np.random.default_rng(cfg.seed)
     preds: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(d)]

@@ -43,7 +43,7 @@ def reference_propagate(topology, x, T: int) -> np.ndarray:
 
 def fuzzy_likelihood(mu, sigma, sigma1: float, m_hat):
     """Gaussian-blurred class likelihood; bounded above by 0.5. The
-    exponential form of ``emn.memory.log_fuzzy_likelihood``."""
+    exponential form of ``emn.memory.log_likelihood`` with fuzzy on."""
     if sigma1 <= 0.0:
         raise ConfigError(f"sigma1 must be positive, got {sigma1}")
     mu = np.asarray(mu, dtype=np.float64)

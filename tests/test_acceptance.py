@@ -29,7 +29,7 @@ from emn.inference import (
 from emn.memory import (
     HyperParams,
     init_memory,
-    log_fuzzy_likelihood,
+    log_likelihood,
     supervised_update,
 )
 from emn.adaptation import reinforced_update
@@ -121,9 +121,8 @@ def test_04_fuzzy_likelihood_fixture():
         q = fuzzy_likelihood(mu, sigma, sigma1, m)
         assert 0.0 <= q <= 0.5
         if q > 0:
-            assert math.exp(log_fuzzy_likelihood(mu, sigma, sigma1, m)) == (
-                pytest.approx(q, rel=1e-12)
-            )
+            got = log_likelihood(HyperParams(sigma1=sigma1), mu, sigma, m)
+            assert math.exp(got) == pytest.approx(q, rel=1e-12)
             checked += 1
     assert checked > 9000
     _passed(4, "closed-form fixture, log/linear agreement, and Q <= 0.5 over "

@@ -190,6 +190,20 @@ class TestAdapt:
         with pytest.raises(NotTrainedError):
             adapt(model, np.zeros((1, 4)), AdaptationConfig(epochs=1))
 
+    @pytest.mark.parametrize("rows", [0, 5])
+    def test_untrained_model_is_refused_before_anything_is_written(
+        self, tmp_path, rows
+    ):
+        model = build_model(TopologyConfig(4, 2, 2, 2, seed=0), 2)
+        model.store.initialized[0, 0] = True
+        before = model.store.copy()
+        snaps = tmp_path / "snaps"
+        with pytest.raises(NotTrainedError):
+            adapt(model, np.ones((rows, 4)), AdaptationConfig(epochs=2), None, snaps)
+        assert not snaps.exists()
+        for name in ("mu", "sigma", "initialized"):
+            assert np.array_equal(getattr(model.store, name), getattr(before, name))
+
 
 def _reference_adapt(model, X, cfg, held_out):
     """The adapt loop that labels at the start of every epoch and again,

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -387,7 +388,7 @@ def test_predict_on_non_finite_feature_is_a_data_error(
     assert out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["eval", "adapt"])
 def test_overflowing_feature_is_a_data_error(
     model_file, tmp_path, capsys, command
@@ -402,6 +403,18 @@ def test_overflowing_feature_is_a_data_error(
     code, out, err = _run(capsys, *argv)
     assert code == 3
     assert "row 1" in err and "finite" in err
+    assert out == ""
+
+
+def test_emnf_header_beyond_the_file_is_a_data_error(model_file, tmp_path, capsys):
+    bad = tmp_path / "bad.emnf"
+    big = 2**32 - 1
+    bad.write_bytes(b"EMNF" + struct.pack("<HHIII", 1, 0, big, big, 0))
+    code, out, err = _run(
+        capsys, "predict", "--model", str(model_file), "--target", str(bad)
+    )
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
 
 

@@ -1,10 +1,14 @@
-"""Property test of the CLI exit codes on mutated CSV input.
+"""Property tests of the CLI exit codes on mutated input.
 
-Whatever text ``emn predict`` and ``emn eval`` are given as a dataset, they
+Whatever text ``emn predict`` and ``emn eval`` are given as a CSV dataset,
+and whatever model document or EMNF dataset ``emn predict`` is given, they
 exit with 0, 2, 3 or 4 and print no traceback.
 """
 
+import json
+import struct
 import warnings
+import zlib
 
 import hypothesis.strategies as st
 import numpy as np
@@ -89,3 +93,125 @@ def test_mutated_csv_gives_a_documented_exit_code(workdir, capsys, command, data
     assert "Traceback" not in err
     if code:
         assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Mutated model documents and EMNF datasets, fed to ``emn predict``
+
+
+def _run_predict(capsys, model, target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["predict", "--model", str(model), "--target", str(target)])
+    err = capsys.readouterr().err
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")
+
+
+def _near(value):
+    """Values close to a JSON scalar: off by one, negated, of another type."""
+    if isinstance(value, bool):
+        return st.sampled_from([not value, 0, 1])
+    if isinstance(value, (int, float)):
+        return st.sampled_from(
+            [0, -1, 1, -value, value + 1, value - 1, 2 * value, value + 0.5,
+             float(value), 1e300, float("nan"), float("inf")]
+        )
+    return st.sampled_from(["", "x", str(value) + "x"])
+
+
+ODD_VALUES = [None, True, False, "x", [], {}, 0, 0.5, -1]
+
+
+@st.composite
+def mutated_payload(draw, payload):
+    """A model payload after one to three mutations: a scalar changed, a key
+    or item deleted, or a value replaced by one of another type."""
+    payload = json.loads(json.dumps(payload))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["value", "delete", "type"]))
+        parent, key, node = None, None, payload
+        # Walk down from the root, choosing a child at each level; a changed
+        # value is always a scalar.
+        while isinstance(node, (dict, list)) and node and (
+            parent is None or kind == "value" or draw(st.booleans())
+        ):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(list(keys)))
+            node = parent[key]
+        if parent is None:
+            continue
+        if kind == "delete":
+            parent.pop(key)
+        elif kind == "type":
+            parent[key] = draw(st.sampled_from(ODD_VALUES + [[node], {"v": node}]))
+        elif not isinstance(node, (dict, list)):
+            parent[key] = draw(_near(node))
+    return payload
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_model_document_gives_a_documented_exit_code(workdir, capsys, data):
+    root, model, _ = workdir
+    payload = json.loads(model.read_text(encoding="utf-8"))["payload"]
+    mutated = data.draw(mutated_payload(payload))
+    canonical = json.dumps(mutated, sort_keys=True, separators=(",", ":"))
+    path = root / "mutated.json"
+    doc = {"payload": mutated, "crc32": zlib.crc32(canonical.encode("utf-8"))}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _run_predict(capsys, path, root / "target.csv")
+
+
+@st.composite
+def mutated_emnf(draw, features, labels):
+    """EMNF bytes with a changed header field or a changed payload."""
+    n, dim = features.shape
+    header = {"version": 1, "flags": 1, "n": n, "dim": dim, "classes": 3}
+    payload = features.astype("<f8").tobytes() + labels.astype("<i4").tobytes()
+    kind = draw(st.sampled_from(["header", "truncate", "append", "bytes", "special"]))
+    if kind == "header":
+        field = draw(st.sampled_from(sorted(header)))
+        if field in ("version", "flags"):
+            header[field] = draw(st.integers(0, 2**16 - 1))
+        else:
+            near = st.sampled_from([n - 1, n + 1, dim - 1, dim + 1, 0, 2**31])
+            header[field] = draw(st.one_of(near, st.integers(0, 2**32 - 1)))
+    elif kind == "truncate":
+        payload = payload[: draw(st.integers(0, len(payload)))]
+    elif kind == "append":
+        payload += draw(st.binary(min_size=1, max_size=40))
+    else:
+        at = draw(st.integers(0, features.size - 1)) * 8
+        if kind == "special":
+            cell = np.array(
+                [draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e300, 1e308]))]
+            ).astype("<f8").tobytes()
+        else:
+            cell = draw(st.binary(min_size=8, max_size=8))
+        payload = payload[:at] + cell + payload[at + 8 :]
+    return b"EMNF" + struct.pack("<HHIII", *header.values()) + payload
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_emnf_gives_a_documented_exit_code(workdir, capsys, data):
+    root, model, lines = workdir
+    rows = [line.split(",") for line in lines[1:]]
+    features = np.array([[float(v) for v in row[:DIM]] for row in rows])
+    labels = np.array([int(row[DIM]) for row in rows])
+    target = root / "mutated.emnf"
+    target.write_bytes(data.draw(mutated_emnf(features, labels)))
+    _run_predict(capsys, model, target)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ class TestEmnf:
         with pytest.raises(TruncationError):
             read_emnf(path)
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_header_claiming_one_row_too_many(self, tmp_path, labeled):
+        ds = FeatureDataset(np.ones((4, 3)), np.zeros(4) if labeled else None)
+        path = tmp_path / "d.emnf"
+        write_emnf(ds, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 5)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncationError):
+            read_emnf(path)
+
+    def test_overflowing_header_allocates_nothing(self, tmp_path):
+        path = tmp_path / "d.emnf"
+        big = 2**32 - 1
+        path.write_bytes(b"EMNF" + struct.pack("<HHIII", 1, 1, big, big, 3) + bytes(64))
+        with pytest.raises(TruncationError):
+            read_emnf(path)
+
 
 class TestSynth:
     def test_counts_and_determinism(self):
@@ -266,6 +285,17 @@ STRUCTURE_FAULTS = {
     "sigma negative": lambda p: p["memory"]["sigma"][0].__setitem__(0, -1.0),
     "sigma infinite": lambda p: p["memory"]["sigma"][0].__setitem__(0, float("inf")),
     "mu not a number": lambda p: p["memory"]["mu"][1].__setitem__(1, float("nan")),
+    "edge id fractional": _set_edge(-1, 0, 0.5),
+    "edge id a float": _set_edge(-1, 0, 1.0),
+    "edge id a boolean": _set_edge(-1, 0, True),
+    "edge id beyond 64 bits": _set_edge(-1, 0, 2**70),
+    "edge list not a list": lambda p: p["topology"]["edges"].__setitem__(-1, 3),
+    "rounds a float": lambda p: p["hyper"].update(rounds=3.5),
+    "rounds infinite": lambda p: p["hyper"].update(rounds=float("inf")),
+    "feature dim a float": lambda p: p["topology"]["config"].update(feature_dim=5.0),
+    "hub count a float": lambda p: p["topology"]["config"].update(hub_count=3.0),
+    "fuzzy flag a string": lambda p: p["hyper"].update(fuzzy_enabled="no"),
+    "sigma1 not a number": lambda p: p["hyper"].update(sigma1=float("nan")),
 }
 
 

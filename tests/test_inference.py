@@ -147,6 +147,13 @@ def test_untrained_model_rejected():
         predict(model, np.zeros(4))
 
 
+def test_untrained_model_rejected_on_an_empty_batch():
+    # Retrieval checks the store even when there is no row to retrieve.
+    model = build_model(TopologyConfig(4, 2, 2, 2, seed=0), 2)
+    with pytest.raises(NotTrainedError):
+        predict_batch(model, np.empty((0, 4)))
+
+
 def test_dimension_error():
     model, _, _ = _trained_model(seed=6)
     with pytest.raises(DimensionError):

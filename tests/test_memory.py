@@ -11,7 +11,7 @@ from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
     init_memory,
-    log_fuzzy_likelihood,
+    log_likelihood,
     supervised_update,
 )
 from emn.topology import TopologyConfig
@@ -156,14 +156,13 @@ class TestFuzzyLikelihood:
         with pytest.raises(ConfigError):
             fuzzy_likelihood(0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ConfigError):
-            log_fuzzy_likelihood(0.0, 1.0, -1.0, 0.0)
+            log_likelihood(HyperParams(sigma1=-1.0), 0.0, 1.0, 0.0)
 
 
 class TestLogFuzzyLikelihood:
     def test_fixture(self):
-        assert log_fuzzy_likelihood(0.0, 1.0, 1.0, 0.0) == pytest.approx(
-            math.log(Q0), abs=1e-10
-        )
+        got = log_likelihood(HyperParams(sigma1=1.0), 0.0, 1.0, 0.0)
+        assert got == pytest.approx(math.log(Q0), abs=1e-10)
 
     def test_agrees_with_linear_form(self):
         rng = np.random.default_rng(2)
@@ -174,13 +173,12 @@ class TestLogFuzzyLikelihood:
             m = rng.normal() * 3
             q = fuzzy_likelihood(mu, sigma, sigma1, m)
             if q > 0:
-                assert math.exp(log_fuzzy_likelihood(mu, sigma, sigma1, m)) == (
-                    pytest.approx(q, rel=1e-12)
-                )
+                got = log_likelihood(HyperParams(sigma1=sigma1), mu, sigma, m)
+                assert math.exp(got) == pytest.approx(q, rel=1e-12)
 
     def test_stable_where_linear_form_underflows(self):
         assert fuzzy_likelihood(0.0, 1.0, 1.0, 100.0) == 0.0
-        got = log_fuzzy_likelihood(0.0, 1.0, 1.0, 100.0)
+        got = log_likelihood(HyperParams(sigma1=1.0), 0.0, 1.0, 100.0)
         assert math.isfinite(got)
         assert got == pytest.approx(math.log(Q0) - 10000.0 / 3.0, rel=1e-12)
 

@@ -75,6 +75,14 @@ def test_dimension_and_round_errors(tiny_topology):
         propagate(tiny_topology, [1.0, 2.0], 0)
 
 
+def test_trace_takes_a_single_feature_vector(tiny_topology):
+    with pytest.raises(DimensionError):
+        propagate_trace(tiny_topology, np.ones((3, 2)), 3)
+    m, trace = propagate_trace(tiny_topology, [[1.0, 2.0]], 3)
+    assert np.array_equal(m, propagate(tiny_topology, [1.0, 2.0], 3))
+    assert len(trace.rounds) == 3
+
+
 def test_determinism(tiny_topology):
     t = build_topology(TopologyConfig(8, 4, 4, 3, seed=11))
     x = np.random.default_rng(1).normal(size=8)
