@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from emn.dataio import write_memory_csv
 from emn.errors import ConfigError, NotTrainedError
 from emn.inference import EmnModel, feature_signals, labels_from_signals
 from emn.memory import MemoryStore, _check_batch, _ema_update, log_likelihood
@@ -134,8 +135,6 @@ def adapt(
 
         snapshot_path = None
         if snapshot_dir is not None:
-            from emn.dataio import write_memory_csv
-
             path = snapshot_dir / f"memory_epoch_{epoch:03d}.csv"
             write_memory_csv(model, path)
             snapshot_path = str(path)

@@ -43,25 +43,6 @@ from emn.memory import HyperParams
 from emn.propagation import propagate_trace
 from emn.topology import TopologyConfig
 
-USAGE_ERRORS = (errors.ConfigError, errors.UsageError)
-DATA_ERRORS = (
-    errors.ParseError,
-    errors.NonFiniteError,
-    errors.MagicError,
-    errors.VersionError,
-    errors.TruncationError,
-    errors.DimensionError,
-    errors.LabelRangeError,
-    errors.MissingLabelsError,
-    errors.ClassCountMismatch,
-)
-MODEL_ERRORS = (
-    errors.SchemaVersionError,
-    errors.IntegrityError,
-    errors.NotTrainedError,
-)
-
-
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True)
 _BOOLS |= dict.fromkeys(("0", "false", "no", "off"), False)
 
@@ -281,21 +262,14 @@ def cmd_bench(args) -> int:
     model = load_model(args.model)
     _set_update_rule(r, model)
     target = read_dataset(args.target, args.format)
-    cfg = BenchConfig(**r.fields(BenchConfig, "repetitions"), adapt=_adapt_cfg_from(r))
-    report = bench(model, target, cfg)
-    lines = [
-        "metric,value",
-        f"per_sample_inference_seconds,{report.per_sample_inference_seconds!r}",
-        f"per_sample_adaptation_seconds,{report.per_sample_adaptation_seconds!r}",
-        f"sample_count,{report.sample_count}",
-        f"repetitions,{report.repetitions}",
-        f"forward_passes_per_adapted_sample,{report.forward_passes_per_adapted_sample!r}",
-        f"backward_passes,{report.backward_passes}",
-    ]
+    cfg = BenchConfig(**r.fields(BenchConfig, "repetitions", shuffle_seed="seed"))
+    record = bench(model, target, cfg).to_dict()
+    lines = ["metric,value"]
+    lines += [f"{k},{v!r}" for k, v in record.items() if k != "config"]
     _emit(args, "\n".join(lines) + "\n")
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2)
+            json.dump(record, f, indent=2)
             f.write("\n")
     return 0
 
@@ -438,18 +412,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except (errors.EmnError, OSError) as exc:
+        # An unusable path (missing, a directory, in the way) is a data error.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MODEL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,11 +57,11 @@ def evaluate(model: EmnModel, dataset: FeatureDataset) -> EvalReport:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Repetitions of one timed epoch of ``adapt`` (``adapt.epochs`` is
-    ignored; beta and batch size are the timed model's)."""
+    """Repetitions of one timed epoch of ``adapt`` with this shuffle seed
+    (beta and batch size are the timed model's)."""
 
     repetitions: int = 5
-    adapt: AdaptationConfig = field(default_factory=AdaptationConfig)
+    shuffle_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -80,20 +80,16 @@ class BenchReport:
     hyper: HyperParams  # the timed model's, whose beta and batch size adapt uses
 
     def to_dict(self) -> dict:
-        return {
-            "per_sample_inference_seconds": self.per_sample_inference_seconds,
-            "per_sample_adaptation_seconds": self.per_sample_adaptation_seconds,
-            "sample_count": self.sample_count,
-            "repetitions": self.repetitions,
-            "forward_passes_per_adapted_sample": self.forward_passes_per_adapted_sample,
-            "backward_passes": self.backward_passes,
-            "config": {
-                "repetitions": self.config.repetitions,
-                "batch_size": self.hyper.batch_size,
-                "beta": self.hyper.beta,
-                "shuffle_seed": self.config.adapt.shuffle_seed,
-            },
+        """The scalar fields in declaration order, then the timed config."""
+        skip = ("config", "hyper")
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        out["config"] = {
+            "repetitions": self.config.repetitions,
+            "batch_size": self.hyper.batch_size,
+            "beta": self.hyper.beta,
+            "shuffle_seed": self.config.shuffle_seed,
         }
+        return out
 
 
 def bench(
@@ -107,7 +103,7 @@ def bench(
     if n == 0:
         raise UsageError("bench requires a non-empty dataset")
 
-    acfg = replace(cfg.adapt, epochs=1)
+    acfg = AdaptationConfig(epochs=1, shuffle_seed=cfg.shuffle_seed)
     inference_times = []
     adaptation_times = []
     forward_per_sample = 0.0
@@ -205,26 +201,6 @@ class AblationVariant:
     delta_vs_base: float = 0.0
 
 
-def run_pipeline(
-    topo_cfg: TopologyConfig,
-    hyper: HyperParams,
-    source: FeatureDataset,
-    target: FeatureDataset,
-    adapt_cfg: AdaptationConfig,
-    train_seed: int = 0,
-):
-    """Train on source, adapt on target; returns (model, reports, history)."""
-    model = build_model(topo_cfg, source.label_class_count(), hyper)
-    train_supervised(model, source, shuffle_seed=train_seed)
-    source_report = evaluate(model, source)
-    before = evaluate(model, target)
-    history = adapt(
-        model, target.features, adapt_cfg, held_out_labels=target.labels
-    )
-    after = evaluate(model, target)
-    return model, source_report, before, after, history
-
-
 def run_ablation(
     source: FeatureDataset,
     target: FeatureDataset,
@@ -245,9 +221,12 @@ def run_ablation(
     out: list[AblationVariant] = []
     for name, fuzzy, conf in variants:
         hyper = replace(base_hyper, fuzzy_enabled=fuzzy, confidence_enabled=conf)
-        _, source_report, before, after, history = run_pipeline(
-            topo_cfg, hyper, source, target, adapt_cfg, train_seed
-        )
+        model = build_model(topo_cfg, source.label_class_count(), hyper)
+        train_supervised(model, source, shuffle_seed=train_seed)
+        source_report = evaluate(model, source)
+        before = evaluate(model, target)
+        history = adapt(model, target.features, adapt_cfg, held_out_labels=target.labels)
+        after = evaluate(model, target)
         best = history.best_epoch()
         out.append(
             AblationVariant(

@@ -31,6 +31,7 @@ from emn.errors import (
 )
 
 CONFIDENCE_FLOOR = float(np.finfo(np.float64).tiny)
+MAX_ROUNDS = 1000  # bounds the work a model document can ask of propagation
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -53,8 +54,8 @@ class HyperParams:
             raise ConfigError(f"sigma1 must be positive and finite, got {self.sigma1}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be positive")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ConfigError(f"rounds must be in [1, {MAX_ROUNDS}], got {self.rounds}")
 
 
 @dataclass

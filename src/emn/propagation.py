@@ -141,7 +141,7 @@ def _ordered_sum(o: np.ndarray, phase: _Phase) -> np.ndarray:
 
 
 def _run_chunk(
-    compiled: CompiledTopology, n: int, X: np.ndarray, T: int, trace: bool
+    compiled: CompiledTopology, n: int, X: np.ndarray, T: int, trace: bool = False
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Memory signals (M x rows, node-major) and trace of a chunk of rows."""
     one_shot, rest = compiled.one_shot, compiled.rest
@@ -177,8 +177,8 @@ def _run_chunk(
     return o[d:n], rounds
 
 
-def _run(topology: NetworkTopology, X: np.ndarray, T: int, trace: bool):
-    """Propagate a batch; returns (memory-node signals B x M, trace|None).
+def _run(topology: NetworkTopology, X: np.ndarray, T: int) -> np.ndarray:
+    """Propagate a batch; returns the memory-node signals (B x M).
 
     The one-shot phase runs once, then T rounds over the remaining nodes.
     State is node-major (N x rows), so each rank gathers contiguous rows;
@@ -189,15 +189,10 @@ def _run(topology: NetworkTopology, X: np.ndarray, T: int, trace: bool):
     n, B = topology.node_count, X.shape[0]
     step = max(1, _CHUNK_CELLS // (n + 1))
     m = np.empty((B, topology.memory_node_count))
-    rounds: list[RoundTrace] = []
     for lo in range(0, B, step):
-        signals, chunk_rounds = _run_chunk(
-            compiled, n, X[lo : lo + step], T, trace and lo == 0
-        )
-        m[lo : lo + step] = signals.T
-        rounds += chunk_rounds
+        m[lo : lo + step] = _run_chunk(compiled, n, X[lo : lo + step], T)[0].T
     _forward_samples += B
-    return m, (PropagationTrace(rounds) if trace else None)
+    return m
 
 
 def _check_input(topology: NetworkTopology, x, T: int, single: bool) -> np.ndarray:
@@ -221,15 +216,13 @@ def propagate(topology: NetworkTopology, x, T: int) -> np.ndarray:
     """Steady memory signals of the hub+bridging nodes for one instance,
     aligned with ``topology.memory_node_ids``."""
     X = _check_input(topology, x, T, single=True)
-    m, _ = _run(topology, X, T, trace=False)
-    return m[0]
+    return _run(topology, X, T)[0]
 
 
 def propagate_batch(topology: NetworkTopology, X, T: int) -> np.ndarray:
     """Rowwise propagate; returns a B x (hub+bridging) matrix."""
     X = _check_input(topology, X, T, single=False)
-    m, _ = _run(topology, X, T, trace=False)
-    return m
+    return _run(topology, X, T)
 
 
 def propagate_trace(
@@ -237,7 +230,6 @@ def propagate_trace(
 ) -> tuple[np.ndarray, PropagationTrace]:
     """As propagate, also recording per-round activation snapshots."""
     X = _check_input(topology, x, T, single=True)
-    m, tr = _run(topology, X, T, trace=True)
-    assert tr is not None
-    return m[0], tr
+    m, rounds = _run_chunk(_compile(topology), topology.node_count, X, T, trace=True)
+    return m[:, 0], PropagationTrace(rounds)
 

@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from emn import errors
-from emn.cli import DATA_ERRORS, MODEL_ERRORS, USAGE_ERRORS, main
+from emn import cli, errors
+from emn.cli import main
 
 
 def _run(capsys, *argv):
@@ -434,7 +434,51 @@ def _error_classes(cls=errors.EmnError):
         yield from _error_classes(sub)
 
 
-def test_every_library_error_has_one_exit_code():
-    mapped = USAGE_ERRORS + DATA_ERRORS + MODEL_ERRORS
-    for cls in _error_classes():
-        assert mapped.count(cls) == 1, cls.__name__
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_every_library_error_has_one_exit_code(cls, monkeypatch, capsys):
+    assert cls.__dict__.get("exit_code") in (2, 3, 4), cls.__name__
+
+    def handler(args):
+        raise cls("raised by the handler")
+
+    monkeypatch.setattr(cli, "cmd_export_memory", handler)
+    code, _, err = _run(capsys, "export-memory", "--model", "unused.json")
+    assert code == cls.exit_code
+    assert err == "error: raised by the handler\n"
+
+
+def _assert_one_error_line(code, err):
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_model_path_a_directory_is_a_data_error(task_files, tmp_path, capsys):
+    _, tgt = task_files
+    code, out, err = _run(capsys, "predict", "--model", str(tmp_path), "--target", str(tgt))
+    _assert_one_error_line(code, err)
+    assert out == ""
+
+
+def test_out_path_a_directory_is_a_data_error(task_files, model_file, tmp_path, capsys):
+    _, tgt = task_files
+    code, _, err = _run(
+        capsys, "predict", "--model", str(model_file), "--target", str(tgt),
+        "--out", str(tmp_path),
+    )
+    _assert_one_error_line(code, err)
+
+
+def test_snapshot_dir_an_existing_file_is_a_data_error(
+    task_files, model_file, tmp_path, capsys
+):
+    _, tgt = task_files
+    blocker = tmp_path / "snaps"
+    blocker.write_text("a file, not a directory\n")
+    adapted = tmp_path / "adapted.json"
+    code, out, err = _run(
+        capsys, "adapt", "--model", str(model_file), "--target", str(tgt),
+        "--out", str(adapted), "--epochs", "1", "--snapshot-dir", str(blocker),
+    )
+    _assert_one_error_line(code, err)
+    assert out == ""
+    assert not adapted.exists()

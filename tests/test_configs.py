@@ -9,7 +9,7 @@ from emn.adaptation import AdaptationConfig
 from emn.dataio import SynthConfig
 from emn.errors import ConfigError, UsageError
 from emn.harness import BenchConfig
-from emn.memory import HyperParams
+from emn.memory import MAX_ROUNDS, HyperParams
 from emn.topology import TopologyConfig
 
 # (config class, valid keyword arguments, one bad value, error raised)
@@ -21,6 +21,7 @@ CASES = [
     (HyperParams, {}, {"sigma1": float("inf")}, ConfigError),
     (HyperParams, {}, {"batch_size": 0}, ConfigError),
     (HyperParams, {}, {"rounds": 0}, ConfigError),
+    (HyperParams, {}, {"rounds": MAX_ROUNDS + 1}, ConfigError),
     (TopologyConfig, {"feature_dim": 4}, {"feature_dim": 0}, ConfigError),
     (TopologyConfig, {"feature_dim": 4}, {"hub_count": 0}, ConfigError),
     (TopologyConfig, {"feature_dim": 4}, {"bridging_count": -1}, ConfigError),

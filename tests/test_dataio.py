@@ -265,6 +265,13 @@ def _set_edge(node, slot, value):
     return mutate
 
 
+def _set_weight(value):
+    def mutate(payload):
+        payload["topology"]["weights"][-1][0] = value
+
+    return mutate
+
+
 STRUCTURE_FAULTS = {
     "negative edge id": _set_edge(-1, 0, -3),
     "edge id past the end": _set_edge(-1, 0, 999),
@@ -296,6 +303,10 @@ STRUCTURE_FAULTS = {
     "hub count a float": lambda p: p["topology"]["config"].update(hub_count=3.0),
     "fuzzy flag a string": lambda p: p["hyper"].update(fuzzy_enabled="no"),
     "sigma1 not a number": lambda p: p["hyper"].update(sigma1=float("nan")),
+    "weight huge": _set_weight(1e300),
+    "weight not a number": _set_weight(float("nan")),
+    "weight beyond 1": _set_weight(1.5),
+    "rounds beyond the cap": lambda p: p["hyper"].update(rounds=10**9),
 }
 
 

@@ -121,8 +121,7 @@ class TestBench:
 
     def test_times_one_epoch_of_its_adaptation_config(self):
         model, _, tgt = _trained(5, batch_size=16, beta=0.5)
-        acfg = AdaptationConfig(epochs=9, shuffle_seed=3)
-        report = bench(model, tgt, BenchConfig(repetitions=1, adapt=acfg))
+        report = bench(model, tgt, BenchConfig(repetitions=1, shuffle_seed=3))
         assert report.forward_passes_per_adapted_sample == 1.0
         assert report.to_dict()["config"] == {
             "repetitions": 1, "batch_size": 16, "beta": 0.5, "shuffle_seed": 3
