@@ -1,24 +1,30 @@
 #!/usr/bin/env python3
-"""Synthetic domain-shift experiment.
+"""Synthetic domain-shift experiment over the EMN ablation variants.
 
-Trains on the source blobs, adapts on the unlabeled target blobs, and
-reports target accuracy before adaptation, at the final epoch, and at the
-oracle-selected best epoch, per seed. A Gaussian naive Bayes baseline
-trained on the source is included for reference.
+Per seed, ``run_ablation`` trains base, base+G (fuzzy density) and base+G+C
+(plus confidence-weighted fusion) on the source blobs and adapts each on the
+unlabeled target: target accuracy before, at the final epoch and at the
+oracle-selected best epoch. The source-trained Gaussian naive Bayes baseline
+does not adapt, so its three are equal. Last rows: means over seeds.
 """
 
 import argparse
+from collections import defaultdict
 
 import numpy as np
 
-from emn.adaptation import AdaptationConfig, adapt
+from emn.adaptation import AdaptationConfig
 from emn.dataio import SynthConfig, synth_shifted_blobs
-from emn.harness import baseline_gnb_eval, baseline_gnb_train, evaluate, train_supervised
-from emn.inference import build_model
+from emn.harness import baseline_gnb_eval, baseline_gnb_train, run_ablation
 from emn.topology import TopologyConfig
 
 
+def _fmt(accuracies):
+    return ",".join(f"{a:.4f}" for a in accuracies)
+
+
 def run_seed(seed, args):
+    """(variant, before, final, best, best epoch) rows of one seed."""
     cfg = SynthConfig(
         class_count=args.classes,
         dim=args.dim,
@@ -29,22 +35,16 @@ def run_seed(seed, args):
         seed=seed,
     )
     src, tgt = synth_shifted_blobs(cfg)
-    model = build_model(TopologyConfig(feature_dim=args.dim, seed=seed), args.classes)
-    train_supervised(model, src, shuffle_seed=seed)
-
-    before = evaluate(model, tgt).accuracy
-    history = adapt(
-        model,
-        tgt.features,
-        AdaptationConfig(epochs=args.epochs, shuffle_seed=seed),
-        held_out_labels=tgt.labels,
-    )
-    after = evaluate(model, tgt).accuracy
-    best = history.best_epoch()
-
-    gnb = baseline_gnb_train(src)
-    gnb_acc = baseline_gnb_eval(gnb, tgt).accuracy
-    return before, after, best.accuracy, best.epoch, gnb_acc
+    topo_cfg = TopologyConfig(feature_dim=args.dim, seed=seed)
+    adapt_cfg = AdaptationConfig(epochs=args.epochs, shuffle_seed=seed)
+    variants = run_ablation(src, tgt, topo_cfg, adapt_cfg=adapt_cfg, train_seed=seed)
+    rows = [
+        (v.name, v.target_before.accuracy, v.target_after.accuracy, v.target_best,
+         v.history.best_epoch().epoch)
+        for v in variants
+    ]
+    gnb = baseline_gnb_eval(baseline_gnb_train(src), tgt).accuracy
+    return rows + [("gnb", gnb, gnb, gnb, "")]
 
 
 def main():
@@ -59,18 +59,14 @@ def main():
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(42, 52)))
     args = ap.parse_args()
 
-    print("seed,target_before,target_final,target_best,best_epoch,gnb_baseline")
-    rows = []
+    print("seed,variant,target_before,target_final,target_best,best_epoch")
+    accs = defaultdict(list)
     for seed in args.seeds:
-        before, after, best_acc, best_epoch, gnb = run_seed(seed, args)
-        rows.append((before, after, best_acc, gnb))
-        print(f"{seed},{before:.4f},{after:.4f},{best_acc:.4f},{best_epoch},{gnb:.4f}")
-
-    arr = np.array(rows)
-    print(
-        f"# mean,{arr[:, 0].mean():.4f},{arr[:, 1].mean():.4f},"
-        f"{arr[:, 2].mean():.4f},,{arr[:, 3].mean():.4f}"
-    )
+        for name, *scores, best_epoch in run_seed(seed, args):
+            accs[name].append(scores)
+            print(f"{seed},{name},{_fmt(scores)},{best_epoch}")
+    for name, scores in accs.items():
+        print(f"# mean,{name},{_fmt(np.mean(scores, axis=0))},")
 
 
 if __name__ == "__main__":

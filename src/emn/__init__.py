@@ -37,11 +37,6 @@ from emn.propagation import (
     propagate_batch,
     propagate_trace,
 )
-from emn.topology import (
-    NetworkTopology,
-    TopologyConfig,
-    build_topology,
-    topology_stats,
-)
+from emn.topology import NetworkTopology, TopologyConfig, build_topology
 
 __version__ = "0.1.0"

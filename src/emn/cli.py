@@ -278,8 +278,6 @@ def cmd_ablate(args) -> int:
     r = Resolver(args)
     source = read_dataset(args.source, args.format)
     target = read_dataset(args.target, args.format)
-    if source.labels is None or target.labels is None:
-        raise errors.MissingLabelsError("ablation requires labeled source and target")
     topo_cfg = _topo_from(r, source.dim)
     variants = run_ablation(
         source,
@@ -361,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("predict", help="predict labels and posteriors")
-    _add_common(p)
+    p.add_argument("--format", choices=["csv", "emnf"])
     p.add_argument("--model", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out")
@@ -369,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="accuracy and confusion on labeled data")
-    _add_common(p)
+    p.add_argument("--format", choices=["csv", "emnf"])
     p.add_argument("--model", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out")
@@ -399,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("export-memory", help="memory snapshot CSV (node, class, mu, sigma)")
-    _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_export_memory)

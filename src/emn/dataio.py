@@ -30,13 +30,13 @@ from emn.errors import (
     VersionError,
 )
 from emn.inference import EmnModel, check_finite_rows
-from emn.memory import HyperParams, MemoryStore
+from emn.memory import HyperParams, MemoryStore, log_likelihood
 from emn.topology import NetworkTopology, TopologyConfig
 
 EMNF_MAGIC = b"EMNF"
 EMNF_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
-_INT64 = np.iinfo(np.int64)
+_INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
 
 
 @dataclass
@@ -128,10 +128,13 @@ def read_csv(path) -> FeatureDataset:
 
 
 def write_emnf(dataset: FeatureDataset, path) -> None:
-    has_labels = dataset.labels is not None
-    class_count = (
-        int(dataset.labels.max()) + 1 if has_labels and dataset.labels.size else 0
-    )
+    labels = dataset.labels
+    has_labels = labels is not None
+    class_count = 0
+    if has_labels and labels.size:
+        if labels.min() < _INT32.min or labels.max() > _INT32.max:
+            raise LabelRangeError("EMNF labels must fit in 32 signed bits")
+        class_count = max(0, int(labels.max()) + 1)
     with open(path, "wb") as f:
         f.write(EMNF_MAGIC)
         f.write(
@@ -146,7 +149,7 @@ def write_emnf(dataset: FeatureDataset, path) -> None:
         )
         f.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
         if has_labels:
-            f.write(np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
+            f.write(np.ascontiguousarray(labels, dtype="<i4").tobytes())
 
 
 def _read_exact(f, size: int, what: str) -> bytes:
@@ -364,6 +367,10 @@ def _model_from_payload(payload: dict, path) -> EmnModel:
     mu, sigma = arrays["mu"], arrays["sigma"]
     if not (np.isfinite(mu).all() and (np.isfinite(sigma) & (sigma >= 0.0)).all()):
         raise IntegrityError(f"{path}: memory mu must be finite, sigma finite and >= 0")
+    # A pair that scores its own mu non-finitely scores every signal -inf.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(log_likelihood(hyper, mu, sigma, mu)).all():
+            raise IntegrityError(f"{path}: memory sigma too large to score a signal")
     store = MemoryStore(**arrays, hyper=hyper)
     return EmnModel(
         topology, store, class_count, hyper, dict(payload.get("metadata", {}))

@@ -18,10 +18,11 @@ from emn.errors import (
     MissingLabelsError,
     UsageError,
 )
-from emn.inference import EmnModel, build_model, predict_batch
-from emn.memory import HyperParams, batched_updates, check_label_range, supervised_update
+from emn.inference import EmnModel, labels_from_signals, predict_batch
+from emn.memory import HyperParams, batched_updates, check_label_range
+from emn.memory import init_memory, supervised_update
 from emn.propagation import propagate_batch
-from emn.topology import TopologyConfig
+from emn.topology import TopologyConfig, build_topology
 
 
 @dataclass
@@ -210,9 +211,18 @@ def run_ablation(
     train_seed: int = 0,
 ) -> list[AblationVariant]:
     """Controlled comparison of {base, base+G, base+G+C}: identical seeds,
-    only the fuzzy / confidence flags differ."""
+    only the fuzzy / confidence flags differ. Signals depend only on the
+    topology, the rounds and the rows, so the variants share one topology
+    and each dataset is propagated once here; ``adapt`` propagates the
+    target once more per variant."""
+    if source.labels is None or target.labels is None:
+        raise MissingLabelsError("ablation requires labeled source and target")
     base_hyper = base_hyper or HyperParams()
     adapt_cfg = adapt_cfg or AdaptationConfig()
+    C = source.label_class_count()
+    topology = build_topology(topo_cfg)
+    src_signals = propagate_batch(topology, source.features, base_hyper.rounds)
+    tgt_signals = propagate_batch(topology, target.features, base_hyper.rounds)
     variants = [
         ("base", False, False),
         ("base+G", True, False),
@@ -221,12 +231,17 @@ def run_ablation(
     out: list[AblationVariant] = []
     for name, fuzzy, conf in variants:
         hyper = replace(base_hyper, fuzzy_enabled=fuzzy, confidence_enabled=conf)
-        model = build_model(topo_cfg, source.label_class_count(), hyper)
-        train_supervised(model, source, shuffle_seed=train_seed)
-        source_report = evaluate(model, source)
-        before = evaluate(model, target)
+        store = init_memory(topology.memory_node_count, C, hyper)
+        model = EmnModel(topology, store, C, hyper)
+        batched_updates(supervised_update, store, src_signals, source.labels, train_seed)
+
+        def score(dataset, signals):
+            return _report(dataset, C, lambda _: labels_from_signals(model, signals))
+
+        source_report = score(source, src_signals)
+        before = score(target, tgt_signals)
         history = adapt(model, target.features, adapt_cfg, held_out_labels=target.labels)
-        after = evaluate(model, target)
+        after = score(target, tgt_signals)
         best = history.best_epoch()
         out.append(
             AblationVariant(

@@ -113,26 +113,3 @@ def build_topology(cfg: TopologyConfig) -> NetworkTopology:
 
     return NetworkTopology(cfg, preds, weights)
 
-
-@dataclass(frozen=True)
-class TopologyStats:
-    entrance_count: int
-    hub_count: int
-    bridging_count: int
-    edge_count: int
-    weight_min: float
-    weight_max: float
-    weight_mean: float
-
-
-def topology_stats(t: NetworkTopology) -> TopologyStats:
-    all_w = np.concatenate([w for w in t.weights if w.size] or [np.empty(0)])
-    return TopologyStats(
-        entrance_count=t.config.feature_dim,
-        hub_count=t.config.hub_count,
-        bridging_count=t.config.bridging_count,
-        edge_count=int(sum(p.size for p in t.predecessors)),
-        weight_min=float(all_w.min()) if all_w.size else 0.0,
-        weight_max=float(all_w.max()) if all_w.size else 0.0,
-        weight_mean=float(all_w.mean()) if all_w.size else 0.0,
-    )

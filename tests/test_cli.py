@@ -97,6 +97,27 @@ def test_export_memory(model_file, tmp_path, capsys):
     assert out_path.read_text().startswith("node_id,class,mu,sigma")
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("predict", "--config", "/nonexistent/x.cfg"),
+        ("eval", "--config", "/nonexistent/x.cfg"),
+        ("export-memory", "--config", "/nonexistent/x.cfg"),
+        ("export-memory", "--format", "csv"),
+    ],
+)
+def test_flag_the_command_never_read_is_a_usage_error(
+    task_files, model_file, capsys, command, flag, value
+):
+    argv = [command, "--model", str(model_file), flag, value]
+    if command != "export-memory":
+        argv += ["--target", str(task_files[1])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bench_json_record(task_files, model_file, tmp_path, capsys):
     _, tgt = task_files
     json_out = tmp_path / "bench.json"

@@ -106,6 +106,25 @@ class TestEmnf:
         write_emnf(ds, path)
         assert read_emnf(path).labels is None
 
+    @pytest.mark.parametrize("label", [2**31, -(2**31) - 1, 2**32 - 1])
+    def test_label_outside_int32_is_a_label_range_error(self, tmp_path, label):
+        ds = FeatureDataset(np.zeros((2, 3)), [0, label])
+        path = tmp_path / "d.emnf"
+        with pytest.raises(LabelRangeError):
+            write_emnf(ds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "labels, class_count",
+        [([-2, -5, -(2**31)], 0), ([2**31 - 1, -(2**31), 0], 2**31)],
+    )
+    def test_int32_labels_round_trip(self, tmp_path, labels, class_count):
+        ds = FeatureDataset(np.zeros((3, 2)), labels)
+        path = tmp_path / "d.emnf"
+        write_emnf(ds, path)
+        assert struct.unpack("<I", path.read_bytes()[16:20]) == (class_count,)
+        assert read_emnf(path).labels.tolist() == labels
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.emnf"
         path.write_bytes(b"NOPE" + bytes(16))
@@ -307,6 +326,7 @@ STRUCTURE_FAULTS = {
     "weight not a number": _set_weight(float("nan")),
     "weight beyond 1": _set_weight(1.5),
     "rounds beyond the cap": lambda p: p["hyper"].update(rounds=10**9),
+    "sigma too large to score": lambda p: p["memory"]["sigma"][0].__setitem__(0, 1e308),
 }
 
 

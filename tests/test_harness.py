@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from emn.adaptation import AdaptationConfig
+from emn import propagation
+from emn.adaptation import AdaptationConfig, adapt
 from emn.dataio import FeatureDataset, SynthConfig, synth_shifted_blobs
 from emn.errors import (
     ClassCountMismatch,
@@ -35,6 +38,25 @@ def _task(seed=0):
         seed=seed,
     )
     return synth_shifted_blobs(cfg)
+
+
+def _hard_task(seed):
+    """Overlapping classes and a real shift, so no accuracy saturates."""
+    cfg = SynthConfig(
+        class_count=3,
+        dim=8,
+        samples_per_class=40,
+        class_mean_scale=0.1,
+        within_class_spread=0.15,
+        shift_vector_norm=0.4,
+        seed=seed,
+    )
+    return synth_shifted_blobs(cfg)
+
+
+def _scores(history):
+    """Per-epoch label-derived fields; update timings are left out."""
+    return [(r.epoch, repr(r.pseudo_label_agreement), r.accuracy) for r in history.records]
 
 
 def _trained(seed=0, **hyper_kwargs):
@@ -203,3 +225,49 @@ class TestAblation:
             assert v.delta_vs_base == pytest.approx(
                 v.target_after.accuracy - variants[0].target_after.accuracy
             )
+
+    @pytest.mark.parametrize(
+        "topo, hyper",
+        [
+            (TopologyConfig(8, 10, 10, 6, seed=5), HyperParams(batch_size=32, beta=0.5)),
+            (
+                TopologyConfig(8, 10, 0, 1, seed=6),
+                HyperParams(confidence_normalized=True, rounds=2),
+            ),
+        ],
+    )
+    def test_equals_the_unshared_public_pipeline(self, topo, hyper):
+        src, tgt = _hard_task(topo.seed)
+        acfg = AdaptationConfig(epochs=3, shuffle_seed=topo.seed)
+        variants = run_ablation(src, tgt, topo, hyper, acfg, train_seed=topo.seed)
+        for v in variants:
+            variant_hyper = replace(
+                hyper, fuzzy_enabled=v.fuzzy_enabled, confidence_enabled=v.confidence_enabled
+            )
+            model = build_model(topo, 3, variant_hyper)
+            train_supervised(model, src, shuffle_seed=topo.seed)
+            expected = [evaluate(model, src), evaluate(model, tgt)]
+            history = adapt(model, tgt.features, acfg, held_out_labels=tgt.labels)
+            expected.append(evaluate(model, tgt))
+            got = [v.source_report, v.target_before, v.target_after]
+            for a, b in zip(got, expected):
+                assert a.accuracy == b.accuracy
+                assert np.array_equal(a.confusion, b.confusion)
+                assert np.array_equal(a.per_class_accuracy, b.per_class_accuracy)
+            assert _scores(v.history) == _scores(history)
+            assert v.target_best == history.best_epoch().accuracy
+
+    def test_propagates_each_dataset_once_and_the_target_once_per_adapt(self):
+        src, tgt = _hard_task(7)
+        src = FeatureDataset(src.features[:90], src.labels[:90])
+        propagation.reset_forward_sample_count()
+        run_ablation(
+            src, tgt, TopologyConfig(8, 10, 10, 6, seed=7),
+            adapt_cfg=AdaptationConfig(epochs=2),
+        )
+        assert propagation.forward_sample_count() == 90 + 4 * tgt.n_samples
+
+    def test_requires_labeled_source_and_target(self):
+        src, tgt = _task(8)
+        with pytest.raises(MissingLabelsError, match="labeled source and target"):
+            run_ablation(src, FeatureDataset(tgt.features), TopologyConfig(8, 4, 4, 3))

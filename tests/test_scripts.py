@@ -15,8 +15,7 @@ SRC = Path(emn.__file__).resolve().parents[1]
 
 HEADERS = {
     "domain_shift_experiment.py":
-        "seed,target_before,target_final,target_best,best_epoch,gnb_baseline",
-    "ablation_experiment.py": "variant,mean_target_after,mean_delta_vs_base,n_seeds",
+        "seed,variant,target_before,target_final,target_best,best_epoch",
 }
 
 
