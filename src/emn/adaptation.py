@@ -97,10 +97,13 @@ def adapt(
 ) -> AdaptationHistory:
     """Run reinforced memorization for cfg.epochs with the model's beta and
     batch size; mutates model in place."""
-    # Memory signals are a pure function of the topology and the inputs,
-    # so each target sample is propagated exactly once for the whole run;
-    # pseudo labels and updates reuse the cached signals.
     signals = feature_signals(model, X_target)
+    return _adapt(model, signals, cfg, held_out_labels, snapshot_dir)
+
+
+def _adapt(model, signals, cfg, held_out_labels, snapshot_dir) -> AdaptationHistory:
+    """``adapt`` on the target's memory signals, a pure function of the
+    topology and the rows: pseudo labels and updates reuse them all run."""
     n = signals.shape[0]
     held_out = None if held_out_labels is None else np.asarray(held_out_labels)
 

@@ -2,7 +2,8 @@
 
 Subcommands: train, adapt, predict, eval, synth, bench, ablate,
 export-memory. Reports are CSV to --out or standard output. A key-value
-config file (--config) supplies defaults that explicit flags override.
+config file (--config) sets the command's valued options that its flags
+leave unset; a key that names none of them is a config error.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error,
 4 model/schema error.
@@ -47,8 +48,12 @@ _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True)
 _BOOLS |= dict.fromkeys(("0", "false", "no", "off"), False)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill each configurable option that the command line left unset from
+    the --config file, cast like its flag: flag > file > dataclass default.
+    A key that names no configurable option of the command is refused."""
+    path = args.config
+    values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
@@ -61,62 +66,45 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise errors.ConfigError(f"{path}: line {lineno}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-class Resolver:
-    """Flag value > config-file value > default.
-
-    Defaults of config dataclasses live on the dataclass only: ``fields``
-    passes on just the options that are set.
-    """
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name: str, default, cast):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name in self.file:
-            raw = self.file[name]
+        values[key.strip().replace("-", "_")] = value.strip()
+    unknown = sorted(values.keys() - args.configurable.keys())
+    if unknown:
+        raise errors.ConfigError(
+            f"{path}: not an option of emn {args.command}: {', '.join(unknown)}"
+        )
+    for name, raw in values.items():
+        cast = args.configurable[name]
+        if getattr(args, name) is None:
             try:
-                return _BOOLS[raw.lower()] if cast is bool else cast(raw)
+                setattr(args, name, _BOOLS[raw.lower()] if cast is bool else cast(raw))
             except (KeyError, ValueError):
                 raise errors.ConfigError(
                     f"config value {name} = {raw!r} is not a valid {cast.__name__}"
                 ) from None
-        return default
-
-    def fields(self, cls, *names: str, **renamed: str) -> dict:
-        """Keyword arguments of dataclass ``cls`` for the options that are
-        set. ``names`` are options named like their field; ``renamed`` maps
-        field to option. A config-file value is cast to the field default's
-        type."""
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        out = {}
-        for field, option in ({n: n for n in names} | renamed).items():
-            value = self.get(option, None, type(defaults[field]))
-            if value is not None:
-                out[field] = value
-        return out
 
 
-def _hyper_from(r: Resolver) -> HyperParams:
+def _given(args, *names: str, **renamed: str) -> dict:
+    """Keyword arguments for the options that are set. ``names`` are options
+    named like their field; ``renamed`` maps field to option. Unset ones are
+    left out, so each default lives on its dataclass only."""
+    pairs = {n: n for n in names} | renamed
+    values = {field: getattr(args, option) for field, option in pairs.items()}
+    return {field: v for field, v in values.items() if v is not None}
+
+
+def _hyper_from(args) -> HyperParams:
     return HyperParams(
-        **r.fields(HyperParams, "beta", "sigma1", "batch_size", "rounds"),
-        fuzzy_enabled=not r.get("no_fuzzy", False, bool),
-        confidence_enabled=not r.get("no_confidence", False, bool),
+        **_given(args, "beta", "sigma1", "batch_size", "rounds"),
+        fuzzy_enabled=not getattr(args, "no_fuzzy", None),
+        confidence_enabled=not getattr(args, "no_confidence", None),
     )
 
 
-def _topo_from(r: Resolver, feature_dim: int) -> TopologyConfig:
+def _topo_from(args, feature_dim: int) -> TopologyConfig:
     return TopologyConfig(
         feature_dim,
-        **r.fields(
-            TopologyConfig,
+        **_given(
+            args,
             "seed",
             hub_count="hub",
             bridging_count="bridging",
@@ -125,14 +113,14 @@ def _topo_from(r: Resolver, feature_dim: int) -> TopologyConfig:
     )
 
 
-def _adapt_cfg_from(r: Resolver) -> AdaptationConfig:
-    return AdaptationConfig(**r.fields(AdaptationConfig, "epochs", shuffle_seed="seed"))
+def _adapt_cfg_from(args) -> AdaptationConfig:
+    return AdaptationConfig(**_given(args, "epochs", shuffle_seed="seed"))
 
 
-def _set_update_rule(r: Resolver, model) -> None:
+def _set_update_rule(args, model) -> None:
     """--beta/--batch-size replace the loaded model's, on the model and its
     store alike, so adaptation uses them and a saved model keeps them."""
-    rule = r.fields(HyperParams, "beta", "batch_size")
+    rule = _given(args, "beta", "batch_size")
     model.hyper = model.store.hyper = dataclasses.replace(model.hyper, **rule)
 
 
@@ -149,10 +137,9 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_synth(args) -> int:
-    r = Resolver(args)
     cfg = SynthConfig(
-        **r.fields(
-            SynthConfig,
+        **_given(
+            args,
             "dim",
             "samples_per_class",
             "seed",
@@ -169,25 +156,24 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    r = Resolver(args)
     source = read_dataset(args.source, args.format)
-    class_count = r.get("classes", source.label_class_count(), int)
-    topo_cfg = _topo_from(r, source.dim)
-    model = build_model(topo_cfg, class_count, _hyper_from(r), {"trained_on": "source"})
+    seen = source.label_class_count()  # refuses an empty source, --classes or not
+    class_count = seen if args.classes is None else args.classes
+    topo_cfg = _topo_from(args, source.dim)
+    model = build_model(topo_cfg, class_count, _hyper_from(args), {"trained_on": "source"})
     train_supervised(model, source, shuffle_seed=topo_cfg.seed)
     save_model(model, args.model)
     return 0
 
 
 def cmd_adapt(args) -> int:
-    r = Resolver(args)
     model = load_model(args.model)
-    _set_update_rule(r, model)
+    _set_update_rule(args, model)
     target = read_dataset(args.target, args.format)
     history = adapt(
         model,
         target.features,
-        _adapt_cfg_from(r),
+        _adapt_cfg_from(args),
         held_out_labels=target.labels,
         snapshot_dir=args.snapshot_dir,
     )
@@ -211,6 +197,8 @@ def cmd_adapt(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     data = read_dataset(args.target, args.format)
+    if args.trace_out and data.n_samples == 0:
+        raise errors.UsageError("--trace-out requires at least one input row")
     preds = predict_batch(model, data.features)
     header = "row_index,predicted_label," + ",".join(
         f"p_{k}" for k in range(model.class_count)
@@ -220,8 +208,6 @@ def cmd_predict(args) -> int:
         lines.append(f"{i},{p.label}," + ",".join(map(repr, p.posterior.tolist())))
     _emit(args, "\n".join(lines) + "\n")
     if args.trace_out:
-        if data.n_samples == 0:
-            raise errors.UsageError("--trace-out requires at least one input row")
         _, trace = propagate_trace(
             model.topology, data.features[0], model.hyper.rounds
         )
@@ -242,13 +228,13 @@ def _eval_report_csv(report) -> str:
 
 
 def cmd_eval(args) -> int:
+    if args.baseline_gnb and args.source is None:
+        raise errors.UsageError("--baseline-gnb requires --source")
     model = load_model(args.model)
     data = read_dataset(args.target, args.format)
     report = evaluate(model, data)
     text = _eval_report_csv(report)
     if args.baseline_gnb:
-        if args.source is None:
-            raise errors.UsageError("--baseline-gnb requires --source")
         src = read_dataset(args.source, args.format)
         gnb = baseline_gnb_train(src)
         gnb_report = baseline_gnb_eval(gnb, data)
@@ -258,11 +244,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    r = Resolver(args)
     model = load_model(args.model)
-    _set_update_rule(r, model)
+    _set_update_rule(args, model)
     target = read_dataset(args.target, args.format)
-    cfg = BenchConfig(**r.fields(BenchConfig, "repetitions", shuffle_seed="seed"))
+    cfg = BenchConfig(**_given(args, "repetitions", shuffle_seed="seed"))
     record = bench(model, target, cfg).to_dict()
     lines = ["metric,value"]
     lines += [f"{k},{v!r}" for k, v in record.items() if k != "config"]
@@ -275,16 +260,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    r = Resolver(args)
     source = read_dataset(args.source, args.format)
     target = read_dataset(args.target, args.format)
-    topo_cfg = _topo_from(r, source.dim)
+    topo_cfg = _topo_from(args, source.dim)
     variants = run_ablation(
         source,
         target,
         topo_cfg,
-        _hyper_from(r),
-        _adapt_cfg_from(r),
+        _hyper_from(args),
+        _adapt_cfg_from(args),
         train_seed=topo_cfg.seed,
     )
     lines = [
@@ -303,7 +287,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_export_memory(args) -> int:
     model = load_model(args.model)
-    write_memory_csv(model, args.out or "/dev/stdout")
+    write_memory_csv(model, args.out or sys.stdout)
     return 0
 
 
@@ -317,10 +301,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_values(p: argparse.ArgumentParser, cast, *flags: str) -> None:
-    """Optional typed flags: an unset one stays None, so ``Resolver`` falls
-    back to the config file, then to the dataclass default."""
+    """Configurable options, each with one cast for flag and config-file
+    values. An unset one stays None, so ``main`` may fill it from --config."""
+    configurable = p.get_default("configurable") or {}
+    kind = {"action": "store_true", "default": None} if cast is bool else {"type": cast}
     for flag in flags:
-        p.add_argument(flag, type=cast)
+        configurable[p.add_argument(flag, **kind).dest] = cast
+    p.set_defaults(configurable=configurable)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_values(p, int, "--classes", "--hub", "--bridging", "--in-degree")
     _add_values(p, int, "--rounds", "--batch-size", "--seed")
     _add_values(p, float, "--beta", "--sigma1")
-    p.add_argument("--no-fuzzy", action="store_const", const=True, default=None)
-    p.add_argument("--no-confidence", action="store_const", const=True, default=None)
+    _add_values(p, bool, "--no-fuzzy", "--no-confidence")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("adapt", help="reinforced memorization on target features")
@@ -408,6 +394,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            _apply_config(args)
         return args.func(args)
     except (errors.EmnError, OSError) as exc:
         # An unusable path (missing, a directory, in the way) is a data error.

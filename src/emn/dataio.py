@@ -381,14 +381,16 @@ def _model_from_payload(payload: dict, path) -> EmnModel:
 # CSV exports for inspection
 
 
-def write_memory_csv(model: EmnModel, path) -> None:
-    """Memory snapshot: one row per (node, class)."""
+def write_memory_csv(model: EmnModel, out) -> None:
+    """Memory snapshot: one row per (node, class), to a path or a text stream."""
+    if not hasattr(out, "write"):
+        with open(out, "w", encoding="utf-8", newline="\n") as f:
+            return write_memory_csv(model, f)
     mu, sigma = model.store.mu.tolist(), model.store.sigma.tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("node_id,class,mu,sigma\n")
-        for i, nid in enumerate(model.topology.memory_node_ids.tolist()):
-            for k in range(model.class_count):
-                f.write(f"{nid},{k},{mu[i][k]!r},{sigma[i][k]!r}\n")
+    out.write("node_id,class,mu,sigma\n")
+    for i, nid in enumerate(model.topology.memory_node_ids.tolist()):
+        for k in range(model.class_count):
+            out.write(f"{nid},{k},{mu[i][k]!r},{sigma[i][k]!r}\n")
 
 
 def write_trace_csv(trace, path) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from emn import propagation
-from emn.adaptation import AdaptationConfig, AdaptationHistory, adapt, pseudo_label
+from emn.adaptation import AdaptationConfig, AdaptationHistory, _adapt, adapt, pseudo_label
 from emn.dataio import FeatureDataset
 from emn.errors import (
     ClassCountMismatch,
@@ -213,8 +213,7 @@ def run_ablation(
     """Controlled comparison of {base, base+G, base+G+C}: identical seeds,
     only the fuzzy / confidence flags differ. Signals depend only on the
     topology, the rounds and the rows, so the variants share one topology
-    and each dataset is propagated once here; ``adapt`` propagates the
-    target once more per variant."""
+    and each dataset is propagated once."""
     if source.labels is None or target.labels is None:
         raise MissingLabelsError("ablation requires labeled source and target")
     base_hyper = base_hyper or HyperParams()
@@ -240,7 +239,7 @@ def run_ablation(
 
         source_report = score(source, src_signals)
         before = score(target, tgt_signals)
-        history = adapt(model, target.features, adapt_cfg, held_out_labels=target.labels)
+        history = _adapt(model, tgt_signals, adapt_cfg, target.labels, None)
         after = score(target, tgt_signals)
         best = history.best_epoch()
         out.append(

@@ -503,3 +503,153 @@ def test_snapshot_dir_an_existing_file_is_a_data_error(
     _assert_one_error_line(code, err)
     assert out == ""
     assert not adapted.exists()
+
+
+def test_export_memory_writes_to_standard_output(model_file, tmp_path, capsys):
+    out_path = tmp_path / "memory.csv"
+    _run(capsys, "export-memory", "--model", str(model_file), "--out", str(out_path))
+    code, out, _ = _run(capsys, "export-memory", "--model", str(model_file))
+    assert code == 0
+    assert out == out_path.read_text()
+
+
+def test_usage_errors_come_before_any_output(task_files, model_file, tmp_path, capsys):
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text(",".join(f"f{i}" for i in range(8)) + "\n")
+    out_path = tmp_path / "p.csv"
+    code, _, err = _run(
+        capsys, "predict", "--model", str(model_file), "--target", str(header_only),
+        "--out", str(out_path), "--trace-out", str(tmp_path / "tr.csv"),
+    )
+    assert code == 2 and "--trace-out" in err
+    code, _, err = _run(
+        capsys, "eval", "--model", str(model_file), "--target", str(task_files[1]),
+        "--out", str(out_path), "--baseline-gnb",
+    )
+    assert code == 2 and "--source" in err
+    assert not out_path.exists()
+    assert not (tmp_path / "tr.csv").exists()
+
+
+# Each configurable option of each command: a value other than its default,
+# and the flags every run of the command gets unless that option is tested.
+CONFIGURABLE = {
+    "synth": {
+        "classes": "4", "dim": "5", "samples_per_class": "6", "seed": "3",
+        "mean_scale": "0.5", "spread": "0.3", "shift": "0.4",
+    },
+    "train": {
+        "classes": "4", "hub": "7", "bridging": "5", "in_degree": "4",
+        "rounds": "2", "batch_size": "16", "seed": "3", "beta": "0.5",
+        "sigma1": "0.7", "no_fuzzy": True, "no_confidence": True,
+    },
+    "adapt": {"epochs": "3", "batch_size": "16", "seed": "3", "beta": "0.5"},
+    "bench": {"repetitions": "2", "batch_size": "16", "seed": "3", "beta": "0.5"},
+    "ablate": {
+        "hub": "7", "bridging": "5", "in_degree": "4", "rounds": "2",
+        "batch_size": "16", "epochs": "2", "seed": "3", "beta": "0.5",
+        "sigma1": "0.7",
+    },
+}
+BASE_FLAGS = {
+    "train": {"hub": "10", "bridging": "10", "in_degree": "6", "seed": "1"},
+    "adapt": {"epochs": "2"},
+    "bench": {"repetitions": "1"},
+    "ablate": {"hub": "10", "bridging": "10", "in_degree": "6", "epochs": "1"},
+}
+
+
+def _command_run(command, task_files, model_file, run_dir):
+    """argv of one run of ``command`` writing into ``run_dir``, and a
+    function reading back what it wrote (stdout given) minus timings."""
+    src, tgt = (str(p) for p in task_files)
+    run_dir.mkdir()
+
+    def out(name):
+        return str(run_dir / name)
+
+    if command == "synth":
+        argv = ["--out-source", out("a.csv"), "--out-target", out("b.csv")]
+        files = ["a.csv", "b.csv"]
+    elif command == "train":
+        argv, files = ["--source", src, "--model", out("m.json")], ["m.json"]
+    elif command == "adapt":
+        argv = ["--model", str(model_file), "--target", tgt, "--out", out("m.json")]
+        files = ["m.json"]
+    elif command == "bench":
+        argv = ["--model", str(model_file), "--target", tgt, "--out", out("report.csv"),
+                "--json-out", out("r.json")]
+        files = []
+    else:
+        argv = ["--source", src, "--target", tgt, "--out", out("report.csv")]
+        files = ["report.csv"]
+
+    def artifacts(stdout):
+        got = {name: (run_dir / name).read_bytes() for name in files}
+        if command == "adapt":  # the last column times the epoch
+            stdout = [l if l.startswith("#") else l.rsplit(",", 1)[0]
+                      for l in stdout.splitlines()]
+        elif command == "bench":
+            record = json.loads((run_dir / "r.json").read_text())
+            stdout = [record["config"], record["sample_count"],
+                      record["forward_passes_per_adapted_sample"]]
+        return got, stdout
+
+    return [command, *argv], artifacts
+
+
+def _flags(options):
+    argv = []
+    for name, value in options.items():
+        flag = "--" + name.replace("_", "-")
+        argv += [flag] if value is True else [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(CONFIGURABLE))
+def test_config_keys_are_the_configurable_options(command, task_files, model_file, tmp_path):
+    argv, _ = _command_run(command, task_files, model_file, tmp_path / "run")
+    assert set(cli.build_parser().parse_args(argv).configurable) == set(CONFIGURABLE[command])
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c, options in CONFIGURABLE.items() for o in options],
+)
+def test_config_value_acts_like_its_flag(
+    command, option, task_files, model_file, tmp_path, capsys
+):
+    value = CONFIGURABLE[command][option]
+    base = {k: v for k, v in BASE_FLAGS.get(command, {}).items() if k != option}
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{option} = {'yes' if value is True else value}\n")
+    results = []
+    for name, extra in (("flag", _flags({option: value})), ("file", ["--config", str(cfgfile)])):
+        argv, artifacts = _command_run(command, task_files, model_file, tmp_path / name)
+        code, out, err = _run(capsys, *argv, *_flags(base), *extra)
+        assert (code, err) == (0, "")
+        results.append(artifacts(out))
+    assert results[0] == results[1]
+    # The value is one that shows: the base run's artifacts differ.
+    argv, artifacts = _command_run(command, task_files, model_file, tmp_path / "base")
+    code, out, _ = _run(capsys, *argv, *_flags(BASE_FLAGS.get(command, {})))
+    assert code == 0
+    assert artifacts(out) != results[0]
+
+
+@pytest.mark.parametrize("command", list(CONFIGURABLE))
+def test_config_key_naming_no_option_is_a_config_error(
+    command, task_files, model_file, tmp_path, capsys
+):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("betta = 0.5\nseed = 3\n")
+    model_bytes = model_file.read_bytes()
+    run_dir = tmp_path / "run"
+    argv, _ = _command_run(command, task_files, model_file, run_dir)
+    code, out, err = _run(capsys, *argv, "--config", str(cfgfile))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "betta" in err and "seed" not in err.replace(str(cfgfile), "")
+    assert out == ""
+    assert list(run_dir.iterdir()) == []
+    assert model_file.read_bytes() == model_bytes

@@ -257,7 +257,7 @@ class TestAblation:
             assert _scores(v.history) == _scores(history)
             assert v.target_best == history.best_epoch().accuracy
 
-    def test_propagates_each_dataset_once_and_the_target_once_per_adapt(self):
+    def test_propagates_each_dataset_once(self):
         src, tgt = _hard_task(7)
         src = FeatureDataset(src.features[:90], src.labels[:90])
         propagation.reset_forward_sample_count()
@@ -265,7 +265,7 @@ class TestAblation:
             src, tgt, TopologyConfig(8, 10, 10, 6, seed=7),
             adapt_cfg=AdaptationConfig(epochs=2),
         )
-        assert propagation.forward_sample_count() == 90 + 4 * tgt.n_samples
+        assert propagation.forward_sample_count() == 90 + tgt.n_samples
 
     def test_requires_labeled_source_and_target(self):
         src, tgt = _task(8)
