@@ -343,7 +343,8 @@ def _model_from_payload(payload: dict, path) -> EmnModel:
             raise IntegrityError(f"{path}: node {i}: edges and weights misaligned")
         if p.size and (p.min() < 0 or p.max() >= n):
             raise IntegrityError(f"{path}: node {i}: edge id outside [0, {n})")
-    # build_topology draws weights from [-1, 1]; NaN fails the test too.
+    # build_topology draws weights from [-1, 1); the closed range is
+    # accepted. NaN fails the test too.
     if not (np.abs(np.concatenate(weights)) <= 1.0).all():
         raise IntegrityError(f"{path}: edge weights must be finite and in [-1, 1]")
     topology = NetworkTopology(tcfg, preds, weights)

@@ -16,6 +16,12 @@ A node fed only by entrances receives input only in round 1, so a
 one-shot phase settles all such nodes (every hub) with one ordered sum;
 then T rounds run over the remaining nodes. State is node-major (N x B),
 so each rank gathers contiguous rows of the previous round's outputs.
+
+A chunk of one row folds each ordered sum in one ``np.add.accumulate``
+over its gathered ranks, which adds in predecessor-list order; wider
+chunks add one rank at a time. The rule is the row count: one numpy add
+per rank is most of a single row's cost, while the fold runs strided
+over the rows of a chunk and loses to the rank loop as rows grow.
 """
 
 from __future__ import annotations
@@ -126,10 +132,25 @@ def _compile(topology: NetworkTopology) -> CompiledTopology:
 def _ordered_sum(o: np.ndarray, phase: _Phase) -> np.ndarray:
     """Per node, the weighted outputs of its predecessors summed in list order.
 
-    Ranks are gathered in blocks of at most ``_BLOCK_TERMS`` terms: a
-    single row takes every rank in one gather, a wide batch one rank at a
-    time, and the gathered terms stay small either way.
+    One row gathers every rank at once, no more terms than the phase's
+    weight table holds, and folds the ranks with one ``np.add.accumulate``,
+    which adds in rank order: one numpy call in place of one per rank. The
+    fold starts at the first term, not at +0.0, so only the sign of a zero
+    sum can differ from the loop below; the leading ``0.0 +`` clears it.
+    The fold runs strided over rows and loses to the loop as rows grow, so
+    only a single row takes it.
+
+    Wider chunks gather ranks in blocks of at most ``_BLOCK_TERMS`` terms
+    (a wide batch one rank at a time) and add them into a total that starts
+    at +0.0, so the gathered terms stay small.
     """
+    if o.shape[1] == 1:
+        if not phase.src.size:
+            return np.zeros((phase.nodes.size, 1))
+        terms = o.take(phase.src, axis=0)
+        terms *= phase.weights
+        np.add.accumulate(terms, axis=0, out=terms)
+        return 0.0 + terms[-1]
     total = np.zeros((phase.nodes.size, o.shape[1]))
     step = max(1, _BLOCK_TERMS // max(1, total.size))
     for lo in range(0, phase.src.shape[0], step):

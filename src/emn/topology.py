@@ -4,7 +4,7 @@ Node ids are assigned entrance-first, then hub, then bridging. Entrance
 nodes have no incoming edges, every hub node receives every entrance node
 once, and every bridging node receives a fixed number of distinct
 predecessors sampled uniformly from all other nodes. Edge weights are
-uniform on [-1, 1].
+uniform on [-1, 1).
 
 Randomness comes from numpy's PCG64 generator seeded with the config seed.
 The draw order is fixed: all hub weights in node-id order, then for each

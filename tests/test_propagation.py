@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from emn import propagation
 from emn.errors import ConfigError, DimensionError
 from emn.propagation import propagate, propagate_batch, propagate_trace
 from emn.topology import NetworkTopology, TopologyConfig, build_topology
@@ -164,14 +165,31 @@ def test_oracle_special_value_rows():
 
 @pytest.mark.parametrize("d, rows", [(20, 1400), (64, 64), (256, 1)])
 def test_oracle_default_scale(d, rows):
-    # Batch sizes span the engine's chunking: a single row gathers every
-    # rank at once, 64 rows a few ranks at a time, and 1400 rows go through
-    # in several chunks of rows.
+    # Batch sizes span the engine's chunking: a single row folds every rank
+    # in one accumulate, 64 rows add a few gathered ranks at a time, and
+    # 1400 rows go through in several chunks of rows.
     t = build_topology(TopologyConfig(d, 50, 50, 30, seed=d))
     X = np.random.default_rng(d).normal(size=(rows, d))
     got = propagate_batch(t, X, 3)
     picked = [0, rows // 2, rows - 1]
     _assert_bitwise(got[picked], _reference_rows(t, X[picked], 3))
+
+
+@pytest.mark.parametrize("d", [20, 64, 256])
+def test_one_row_fold_default_scale(d):
+    # Every single-row path folds each ordered sum in one accumulate: one
+    # row through propagate and propagate_trace, and the one-row last chunk
+    # of a batch one row longer than a chunk.
+    t = build_topology(TopologyConfig(d, 50, 50, 30, seed=d))
+    rows = propagation._CHUNK_CELLS // (t.node_count + 1) + 1
+    X = np.random.default_rng(d + 1).normal(size=(rows, d))
+    X[1] = -0.0
+    picked = [0, 1, rows - 1]
+    ref = _reference_rows(t, X[picked], 3)
+    for x, r in zip(X[picked], ref):
+        _assert_bitwise(propagate(t, x, 3), r)
+        _assert_bitwise(propagate_trace(t, x, 3)[0], r)
+    _assert_bitwise(propagate_batch(t, X, 3)[picked], ref)
 
 
 def _hand_built(preds, weights, d, h, b):
@@ -219,9 +237,55 @@ def test_oracle_equivalence_arbitrary_edge_sets():
         X = rng.normal(size=(4, d)) * 2.0
         X[1] = rng.choice(SPECIAL_VALUES, size=d)
         for T in (1, 2, 4):
-            _assert_bitwise(propagate_batch(t, X, T), _reference_rows(t, X, T))
+            ref = _reference_rows(t, X, T)
+            _assert_bitwise(propagate_batch(t, X, T), ref)
+            for x, r in zip(X, ref):
+                _assert_bitwise(propagate(t, x, T), r)
             _, trace = propagate_trace(t, X[0], T)
             assert len(trace.rounds) == T
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_row_with_empty_phases():
+    rng = np.random.default_rng(12)
+    # Hubs 2 and 3 have no predecessors, so they settle in one shot with
+    # zero ranks; bridging node 4 listens to an entrance, a hub and itself.
+    no_ranks = _hand_built(
+        [[], [], [], [], [0, 2, 4]],
+        [[], [], [], [], [0.75, -0.5, 0.25]],
+        d=2, h=2, b=1,
+    )
+    # No bridging nodes: every node past the entrances settles in one shot.
+    no_rest = build_topology(TopologyConfig(5, 4, 0, 1, seed=3))
+    for t in (no_ranks, no_rest):
+        X = rng.normal(size=(3, t.feature_dim)) * 2.0
+        X[1] = rng.choice(SPECIAL_VALUES, size=t.feature_dim)
+        for T in (1, 2, 4):
+            for x, r in zip(X, _reference_rows(t, X, T)):
+                _assert_bitwise(propagate(t, x, T), r)
+    assert no_ranks.compiled.one_shot.src.shape[0] == 0
+    assert no_ranks.compiled.rest.nodes.size == 1
+    assert no_rest.compiled.rest.nodes.size == 0
+
+
+def test_one_row_fold_equals_rank_loop():
+    # The one-row fold and the rank loop of wider chunks form the same
+    # ordered sums, signs of zero included: -0.0 terms alone sum to +0.0,
+    # as in the scalar oracle, whose sums start at +0.0.
+    t = _hand_built(
+        [[], [], [0, 1], [0, 2, 1]],
+        [[], [], [0.5, 0.25], [1.0, -1.0, 0.5]],
+        d=2, h=1, b=1,
+    )
+    compiled = propagation._compile(t)
+    o = np.zeros((t.node_count + 1, 1))
+    for column in ([-0.0, -0.0, -0.0, -0.0], [1.0, -2.0, -0.0, 3.0]):
+        o[:-1, 0] = column
+        for phase in (compiled.one_shot, compiled.rest):
+            fold = propagation._ordered_sum(o, phase)
+            loop = propagation._ordered_sum(np.repeat(o, 2, axis=1), phase)
+            assert fold.shape == (phase.nodes.size, 1)
+            _assert_bitwise(fold[:, 0], loop[:, 0])
 
 
 def test_tables_compiled_once_per_topology():
