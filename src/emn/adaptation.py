@@ -19,8 +19,8 @@ import numpy as np
 from emn.dataio import write_memory_csv
 from emn.errors import ConfigError, NotTrainedError
 from emn.inference import EmnModel, feature_signals, labels_from_signals
-from emn.memory import MemoryStore, _check_batch, _ema_update, log_likelihood
-from emn.memory import batched_updates
+from emn.memory import MemoryStore, _check_batch, _ClassBlocks, _ema_update
+from emn.memory import batched_updates, log_likelihood
 
 
 @dataclass(frozen=True)
@@ -65,27 +65,29 @@ def reinforced_update(store: MemoryStore, signals, pseudo_labels) -> None:
     Per node and per pseudo class, each sample contributes with weight
     equal to the likelihood of its memory signal under that class (1 when
     confidence weighting is disabled). Only (node, pseudo-class) pairs
-    present in the batch are touched.
+    present in the batch are touched; every class updates in one pass.
     """
     if not store.fully_initialized:
         raise NotTrainedError("reinforced updates require a trained store")
     signals, labels = _check_batch(store, signals, pseudo_labels)
+    if not labels.size:
+        return
     hyper = store.hyper
-    for k in np.unique(labels):
-        rows = signals[labels == k]  # B_k x nodes
-        if hyper.confidence_enabled:
-            mu, sigma = store.mu[None, :, k], store.sigma[None, :, k]
-            e = np.exp(log_likelihood(hyper, mu, sigma, rows))
-        else:
-            e = np.ones_like(rows)
+    blocks = _ClassBlocks(signals, labels)
+    if hyper.confidence_enabled:
+        k = blocks.classes[blocks.index]  # each sorted row's pseudo class
+        mu, sigma = store.mu[:, k].T, store.sigma[:, k].T
+        e = np.exp(log_likelihood(hyper, mu, sigma, blocks.rows))
+    else:
+        e = np.ones_like(blocks.rows)
 
-        if hyper.confidence_normalized:
-            divisor = e.sum(axis=0)  # 0 when no row carries confidence
-        elif hyper.literal_batch_divisor:
-            divisor = float(signals.shape[0])
-        else:
-            divisor = float(rows.shape[0])
-        _ema_update(store, k, rows, e, divisor)
+    if hyper.confidence_normalized:
+        divisor = blocks.sums(e)  # 0 when no row carries confidence
+    elif hyper.literal_batch_divisor:
+        divisor = float(signals.shape[0])
+    else:
+        divisor = blocks.counts[:, None]
+    _ema_update(store, blocks, e, divisor)
 
 
 def adapt(

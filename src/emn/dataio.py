@@ -284,9 +284,10 @@ def save_model(model: EmnModel, path) -> None:
     payload = _model_payload(model)
     checksum = zlib.crc32(_canonical(payload).encode("utf-8"))
     doc = {"payload": payload, "crc32": checksum}
+    # One dumps call: json.dump streams through the pure-Python encoder.
+    text = json.dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(text)
 
 
 def load_model(path) -> EmnModel:

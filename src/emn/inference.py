@@ -78,12 +78,20 @@ def build_model(
 def _fuse(posteriors: np.ndarray, confidences: np.ndarray) -> np.ndarray:
     """Convex combination over nodes; posteriors B x nodes x C.
 
-    Both inputs are read as contiguous rows x nodes copies, so the weight
-    normaliser sums pairwise over nodes and einsum sums over nodes in order,
-    whatever layout the caller holds.
+    The weights are normalised over a contiguous rows x nodes copy of the
+    confidences, so the normaliser sums pairwise over nodes. With at least
+    2 rows and 2 classes, einsum sums over nodes in order straight on the
+    class-major (C x nodes x B) posteriors, as it does on the row-major
+    layout; with 1 row or 1 class it does not give the same bits there, so
+    those fuse on a contiguous rows x nodes x classes copy. Either way the
+    result does not depend on the caller's layout.
     """
     confidences = np.ascontiguousarray(confidences)
     weights = confidences / confidences.sum(axis=1, keepdims=True)
+    B, _, C = posteriors.shape
+    if B >= 2 and C >= 2:
+        class_major = np.ascontiguousarray(posteriors.transpose(2, 1, 0))
+        return np.einsum("nb,cnb->cb", weights.T, class_major).T
     return np.einsum("bn,bnc->bc", weights, np.ascontiguousarray(posteriors))
 
 

@@ -9,7 +9,11 @@ Supervised and reinforced memorization (``emn.adaptation``) share one
 batch EMA with temperature ``HyperParams.beta``: supervised rows weigh 1,
 reinforced rows their confidence. The first update of a (node, class)
 pair takes the batch statistics as they are. Both run through one loop
-over shuffled batches of ``HyperParams.batch_size`` rows.
+over shuffled batches of ``HyperParams.batch_size`` rows, and each batch
+is one update for all its classes: ``_ClassBlocks`` sorts it stably by
+label, the arithmetic runs over the whole batch, and only the per-class
+column sums are taken block by block, in the order and on the block
+shape of a loop over classes (the reference in ``tests/oracles.py``).
 Retrieval works in log space: ``_log_terms`` is the one dispatch between
 the blurred and the plain class density, used both by
 ``store_log_likelihoods`` (every node and class of a batch of rows, the
@@ -121,29 +125,54 @@ def check_label_range(labels: np.ndarray, class_count: int) -> None:
         raise LabelRangeError(f"labels must lie in [0, {class_count})")
 
 
-def _ema_update(store: MemoryStore, k: int, rows, weights, divisor) -> None:
-    """Move class k's mu toward the weighted mean of ``rows`` and its sigma
-    toward their weighted mean absolute deviation about the new mu; sums are
-    divided by ``divisor``, and a node whose divisor is 0 stays untouched."""
+class _ClassBlocks:
+    """A batch sorted stably by label, so each class present is one
+    contiguous block of rows in batch order."""
+
+    def __init__(self, signals: np.ndarray, labels: np.ndarray):
+        counts = np.bincount(labels)
+        self.classes = np.flatnonzero(counts)  # present classes, ascending
+        self.counts = counts[self.classes]
+        self.rows = signals[np.argsort(labels, kind="stable")]
+        # Each sorted row's position in classes.
+        self.index = np.repeat(np.arange(self.classes.size), self.counts)
+        ends = np.cumsum(self.counts).tolist()
+        self._bounds = list(zip([0] + ends[:-1], ends))
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Classes x nodes column sums of ``values`` (aligned with ``rows``):
+        one ``sum(axis=0)`` per block, so each class's rows add in batch
+        order on the same block shape as a per-class loop."""
+        return np.array([values[lo:hi].sum(axis=0) for lo, hi in self._bounds])
+
+
+def _ema_update(store: MemoryStore, blocks: _ClassBlocks, weights, divisor) -> None:
+    """Move each batch class's mu toward the weighted mean of its rows and
+    its sigma toward their weighted mean absolute deviation about the new
+    mu. ``weights`` is 1.0 or aligned with ``blocks.rows``; sums are divided
+    by ``divisor`` (broadcast to classes x nodes), and a (node, class) pair
+    whose divisor is 0 stays untouched."""
     beta = store.hyper.beta
-    touch = divisor > 0.0
+    k = blocks.classes
+    old_mu, old_sigma = store.mu[:, k].T, store.sigma[:, k].T  # classes x nodes
+    touch = np.broadcast_to(divisor > 0.0, old_mu.shape)
     safe_div = np.where(touch, divisor, 1.0)
-    init = store.initialized[:, k]
-    mean = (weights * rows).sum(axis=0) / safe_div
-    mu = np.where(init, beta * store.mu[:, k] + (1.0 - beta) * mean, mean)
-    mad = (weights * np.abs(rows - mu)).sum(axis=0) / safe_div
-    sigma = np.where(init, beta * store.sigma[:, k] + (1.0 - beta) * mad, mad)
-    store.mu[:, k] = np.where(touch, mu, store.mu[:, k])
-    store.sigma[:, k] = np.where(touch, sigma, store.sigma[:, k])
-    store.initialized[:, k] |= touch
+    init = store.initialized[:, k].T
+    mean = blocks.sums(weights * blocks.rows) / safe_div
+    mu = np.where(init, beta * old_mu + (1.0 - beta) * mean, mean)
+    mad = blocks.sums(weights * np.abs(blocks.rows - mu[blocks.index])) / safe_div
+    sigma = np.where(init, beta * old_sigma + (1.0 - beta) * mad, mad)
+    store.mu[:, k] = np.where(touch, mu, old_mu).T
+    store.sigma[:, k] = np.where(touch, sigma, old_sigma).T
+    store.initialized[:, k] |= touch.T
 
 
 def supervised_update(store: MemoryStore, signals, labels) -> None:
     """EMA update from a labeled batch: each row of its class weighs 1."""
     signals, labels = _check_batch(store, signals, labels)
-    for k in np.unique(labels):
-        rows = signals[labels == k]  # B_k x nodes
-        _ema_update(store, k, rows, 1.0, float(rows.shape[0]))
+    if labels.size:
+        blocks = _ClassBlocks(signals, labels)
+        _ema_update(store, blocks, 1.0, blocks.counts[:, None])
 
 
 def batched_updates(update, store: MemoryStore, signals, labels, seed: int) -> None:

@@ -142,7 +142,9 @@ def _ordered_sum(o: np.ndarray, phase: _Phase) -> np.ndarray:
 
     Wider chunks gather ranks in blocks of at most ``_BLOCK_TERMS`` terms
     (a wide batch one rank at a time) and add them into a total that starts
-    at +0.0, so the gathered terms stay small.
+    at +0.0, so the gathered terms stay small. Both gather with ``take``,
+    which gives the same array as fancy indexing at a fraction of its cost
+    on a few rows.
     """
     if o.shape[1] == 1:
         if not phase.src.size:
@@ -154,7 +156,7 @@ def _ordered_sum(o: np.ndarray, phase: _Phase) -> np.ndarray:
     total = np.zeros((phase.nodes.size, o.shape[1]))
     step = max(1, _BLOCK_TERMS // max(1, total.size))
     for lo in range(0, phase.src.shape[0], step):
-        terms = o[phase.src[lo : lo + step]]
+        terms = o.take(phase.src[lo : lo + step], axis=0)
         terms *= phase.weights[lo : lo + step]
         for term in terms:
             total += term

@@ -99,3 +99,46 @@ def reference_fused_posteriors(model, signals) -> np.ndarray:
     posteriors, _, confidences = reference_node_votes(model, signals)
     weights = confidences / confidences.sum(axis=1, keepdims=True)
     return np.einsum("bn,bnc->bc", weights, posteriors)
+
+
+def _reference_ema(store, k, rows, weights, divisor) -> None:
+    """Class k's EMA step: mu toward the weighted mean of ``rows``, then
+    sigma toward their weighted mean absolute deviation about the new mu;
+    a node whose divisor is 0 stays untouched."""
+    beta = store.hyper.beta
+    touch = divisor > 0.0
+    safe_div = np.where(touch, divisor, 1.0)
+    init = store.initialized[:, k]
+    mean = (weights * rows).sum(axis=0) / safe_div
+    mu = np.where(init, beta * store.mu[:, k] + (1.0 - beta) * mean, mean)
+    mad = (weights * np.abs(rows - mu)).sum(axis=0) / safe_div
+    sigma = np.where(init, beta * store.sigma[:, k] + (1.0 - beta) * mad, mad)
+    store.mu[:, k] = np.where(touch, mu, store.mu[:, k])
+    store.sigma[:, k] = np.where(touch, sigma, store.sigma[:, k])
+    store.initialized[:, k] |= touch
+
+
+def reference_supervised_update(store, signals, labels) -> None:
+    """One class at a time: each row of its class weighs 1."""
+    for k in np.unique(labels):
+        rows = signals[labels == k]  # B_k x nodes, in batch order
+        _reference_ema(store, k, rows, 1.0, float(rows.shape[0]))
+
+
+def reference_reinforced_update(store, signals, labels) -> None:
+    """One pseudo class at a time: each row weighs its likelihood under the
+    class (1 with confidence off), divided per the store's divisor flags."""
+    hyper = store.hyper
+    for k in np.unique(labels):
+        rows = signals[labels == k]
+        if hyper.confidence_enabled:
+            e = np.exp(reference_log_likelihoods(store, rows)[:, :, k])
+        else:
+            e = np.ones_like(rows)
+        if hyper.confidence_normalized:
+            divisor = e.sum(axis=0)
+        elif hyper.literal_batch_divisor:
+            divisor = float(signals.shape[0])
+        else:
+            divisor = float(rows.shape[0])
+        _reference_ema(store, k, rows, e, divisor)

@@ -240,6 +240,13 @@ class TestModelDocument:
         for wa, wb in zip(model.topology.weights, back.topology.weights):
             assert np.array_equal(wa, wb)
 
+    def test_document_text_is_default_json(self, tmp_path):
+        # The file holds json's default text of the document and a newline,
+        # so its bytes do not depend on how the writer calls the encoder.
+        save_model(_trained_model(seed=3), tmp_path / "model.json")
+        text = (tmp_path / "model.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text)) + "\n"
+
     def test_unknown_schema_version(self, tmp_path):
         model = _trained_model()
         path = tmp_path / "model.json"

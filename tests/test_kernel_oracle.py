@@ -4,7 +4,8 @@
 ``fused_posteriors_from_signals`` must equal their ``oracles`` references
 bit for bit, NaN payload signs included, for class counts on either side
 of numpy's pairwise-sum thresholds (8 accumulators from 8 classes, halves
-above 128).
+above 128). Fusion is checked on 1 and 2 rows and on a single class too,
+on either side of its rule for the class-major path (2 rows, 2 classes).
 """
 
 import numpy as np
@@ -22,12 +23,12 @@ from oracles import (
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-CLASS_COUNTS = (2, 3, 7, 8, 9, 10, 16, 17, 129, 300)
+CLASS_COUNTS = (1, 2, 3, 7, 8, 9, 10, 16, 17, 129, 300)
 
 
 def _model(C, fuzzy, confidence):
     """A 12-node model with random memories, two tied nodes and, for the
-    plain density, a zero-spread node."""
+    plain density, a zero-spread node (class 1, or 0 when C = 1)."""
     hyper = HyperParams(fuzzy_enabled=fuzzy, confidence_enabled=confidence)
     model = build_model(TopologyConfig(4, 6, 6, 3, seed=C), C, hyper)
     rng = np.random.default_rng(C)
@@ -37,7 +38,7 @@ def _model(C, fuzzy, confidence):
     store.mu[0], store.sigma[0] = 0.5, 0.3  # every class ties
     store.mu[1, 1:] = store.mu[1, 0] + 20.0  # classes 0 and C-1 tie
     store.mu[1, -1], store.sigma[1, -1] = store.mu[1, 0], store.sigma[1, 0]
-    store.sigma[2, 1] = 0.0
+    store.sigma[2, min(1, C - 1)] = 0.0
     store.initialized[:] = True
     return model
 
@@ -94,7 +95,8 @@ def test_fused_posteriors_match_oracle(C, fuzzy, confidence):
     step = inference._CHUNK_CELLS // (N * C)
     signals, specials = _signals(model, step + 1, seed=C)
     mixed = np.concatenate([signals[: step - 3], specials])  # specials span the border
-    for batch in (signals[:0], signals[:1], signals[:step], signals, mixed):
+    batches = (signals[:0], signals[:1], signals[:2], signals[:step], signals, mixed)
+    for batch in batches:
         _same(
             fused_posteriors_from_signals(model, batch),
             reference_fused_posteriors(model, batch),
