@@ -2,10 +2,12 @@
 
 Each epoch regenerates pseudo labels from the current model, shuffles the
 target set, and applies confidence-weighted EMA updates batch by batch.
-The update is supervised memorization's rule with pseudo labels for true
-labels and confidence weights for unit weights; ``beta`` and the batch
-size are the model's ``HyperParams``. Only forward propagation is
-involved; there is no gradient anywhere.
+The update, ``reinforced_update``, lives in ``emn.memory`` next to
+supervised memorization's rule, which it reuses with pseudo labels for
+true labels and confidence weights for unit weights; this module keeps
+the epoch loop. ``beta`` and the batch size are the model's
+``HyperParams``. Only forward propagation is involved; there is no
+gradient anywhere.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from emn.dataio import write_memory_csv
-from emn.errors import ConfigError, NotTrainedError
+from emn.errors import ConfigError
 from emn.inference import EmnModel, feature_signals, labels_from_signals
-from emn.memory import MemoryStore, _check_batch, _ClassBlocks, _ema_update
-from emn.memory import batched_updates, log_likelihood
+from emn.memory import batched_updates, reinforced_update
 
 
 @dataclass(frozen=True)
@@ -57,37 +58,6 @@ class AdaptationHistory:
 def pseudo_label(model: EmnModel, X_target) -> np.ndarray:
     """Predicted labels over the target rows, as an int vector."""
     return labels_from_signals(model, feature_signals(model, X_target))
-
-
-def reinforced_update(store: MemoryStore, signals, pseudo_labels) -> None:
-    """Confidence-weighted EMA update driven by pseudo labels.
-
-    Per node and per pseudo class, each sample contributes with weight
-    equal to the likelihood of its memory signal under that class (1 when
-    confidence weighting is disabled). Only (node, pseudo-class) pairs
-    present in the batch are touched; every class updates in one pass.
-    """
-    if not store.fully_initialized:
-        raise NotTrainedError("reinforced updates require a trained store")
-    signals, labels = _check_batch(store, signals, pseudo_labels)
-    if not labels.size:
-        return
-    hyper = store.hyper
-    blocks = _ClassBlocks(signals, labels)
-    if hyper.confidence_enabled:
-        k = blocks.classes[blocks.index]  # each sorted row's pseudo class
-        mu, sigma = store.mu[:, k].T, store.sigma[:, k].T
-        e = np.exp(log_likelihood(hyper, mu, sigma, blocks.rows))
-    else:
-        e = np.ones_like(blocks.rows)
-
-    if hyper.confidence_normalized:
-        divisor = blocks.sums(e)  # 0 when no row carries confidence
-    elif hyper.literal_batch_divisor:
-        divisor = float(signals.shape[0])
-    else:
-        divisor = blocks.counts[:, None]
-    _ema_update(store, blocks, e, divisor)
 
 
 def adapt(

@@ -16,8 +16,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from emn import errors
 from emn.adaptation import AdaptationConfig, adapt
 from emn.dataio import (

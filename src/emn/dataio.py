@@ -13,7 +13,6 @@ import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from emn.topology import NetworkTopology, TopologyConfig
 
 EMNF_MAGIC = b"EMNF"
 EMNF_VERSION = 1
+_EMNF_HEADER = struct.Struct("<HHIII")  # version, flags, rows, dim, class count
 MODEL_SCHEMA_VERSION = 1
 _INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
 
@@ -76,16 +76,15 @@ class FeatureDataset:
 
 
 def write_csv(dataset: FeatureDataset, path) -> None:
+    cols = [f"f{i}" for i in range(dataset.dim)]
+    rows = dataset.features.tolist()
+    if dataset.labels is not None:
+        cols.append("label")
+        for row, label in zip(rows, dataset.labels.tolist()):
+            row.append(label)  # repr of an int is its str
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        cols = [f"f{i}" for i in range(dataset.dim)]
-        if dataset.labels is not None:
-            cols.append("label")
         f.write(",".join(cols) + "\n")
-        for i in range(dataset.n_samples):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            f.write(",".join(row) + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_csv(path) -> FeatureDataset:
@@ -138,13 +137,8 @@ def write_emnf(dataset: FeatureDataset, path) -> None:
     with open(path, "wb") as f:
         f.write(EMNF_MAGIC)
         f.write(
-            struct.pack(
-                "<HHIII",
-                EMNF_VERSION,
-                1 if has_labels else 0,
-                dataset.n_samples,
-                dataset.dim,
-                class_count,
+            _EMNF_HEADER.pack(
+                EMNF_VERSION, int(has_labels), dataset.n_samples, dataset.dim, class_count
             )
         )
         f.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
@@ -164,8 +158,8 @@ def read_emnf(path) -> FeatureDataset:
         magic = _read_exact(f, 4, "magic bytes")
         if magic != EMNF_MAGIC:
             raise MagicError(f"bad magic bytes {magic!r}")
-        version, flags, n, dim, _class_count = struct.unpack(
-            "<HHIII", _read_exact(f, 16, "header")
+        version, flags, n, dim, _class_count = _EMNF_HEADER.unpack(
+            _read_exact(f, _EMNF_HEADER.size, "header")
         )
         if version != EMNF_VERSION:
             raise VersionError(f"unsupported EMNF version {version}")
@@ -184,17 +178,18 @@ def read_emnf(path) -> FeatureDataset:
     return FeatureDataset(feats.astype(np.float64), labels)
 
 
+def _format(path, fmt: str | None) -> str:
+    """``fmt``, or the format the path's extension names when omitted."""
+    return fmt or ("emnf" if str(path).endswith(".emnf") else "csv")
+
+
 def read_dataset(path, fmt: str | None = None) -> FeatureDataset:
     """Read CSV or EMNF; format inferred from the extension when omitted."""
-    fmt = fmt or ("emnf" if str(path).endswith(".emnf") else "csv")
-    if fmt == "emnf":
-        return read_emnf(path)
-    return read_csv(path)
+    return read_emnf(path) if _format(path, fmt) == "emnf" else read_csv(path)
 
 
 def write_dataset(dataset: FeatureDataset, path, fmt: str | None = None) -> None:
-    fmt = fmt or ("emnf" if str(path).endswith(".emnf") else "csv")
-    if fmt == "emnf":
+    if _format(path, fmt) == "emnf":
         write_emnf(dataset, path)
     else:
         write_csv(dataset, path)

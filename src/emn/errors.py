@@ -78,5 +78,6 @@ class SchemaVersionError(EmnError):
 
 
 class IntegrityError(EmnError):
-    """Model document checksum does not match its payload."""
+    """Model document is not a sound model: a checksum mismatch, a malformed
+    payload, or memory mu that overflow retrieval on moderate signals."""
     exit_code = 4

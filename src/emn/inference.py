@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from emn.errors import ConfigError, DimensionError, NonFiniteError
+from emn.errors import ConfigError, DimensionError, IntegrityError, NonFiniteError
 from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
@@ -179,13 +179,20 @@ def feature_signals(model: EmnModel, X) -> np.ndarray:
 
 
 def _checked_fused(model: EmnModel, signals: np.ndarray) -> np.ndarray:
-    """Fused posteriors; a row whose features overflow retrieval (a
-    non-finite posterior) is a data error, not a label, so the kernel's
-    overflow warnings say nothing more."""
+    """Fused posteriors; a row whose posterior is not finite is an error,
+    not a label, so the kernel's overflow warnings say nothing more. The
+    fault is the model's (exit 4) when that row's signals square to finite
+    values and the memory mu do not; otherwise the features overflow
+    retrieval (exit 3)."""
     with np.errstate(over="ignore", invalid="ignore"):
         fused = fused_posteriors_from_signals(model, signals)
-    check_finite_rows(fused, "fused posterior is not finite; features too large")
-    return fused
+        if np.isfinite(fused).all():
+            return fused
+        bad = int((~np.isfinite(fused).all(axis=1)).argmax())
+        moderate = np.isfinite(np.square(signals[bad])).all()
+        if moderate and not np.isfinite(np.square(model.store.mu)).all():
+            raise IntegrityError(f"row {bad}: fused posterior is not finite; mu too large")
+    raise NonFiniteError(f"row {bad}: fused posterior is not finite; features too large")
 
 
 def labels_from_signals(model: EmnModel, signals: np.ndarray) -> np.ndarray:

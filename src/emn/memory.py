@@ -1,24 +1,23 @@
-"""Per-node, per-class Gaussian memory storage and retrieval.
+"""Per-node, per-class Gaussian memory: storage, retrieval, memorization.
 
 Each memory-bearing node keeps one (mu, sigma) pair per class. sigma is
 the exponentially averaged mean absolute deviation of memory signals and
 is substituted wherever the variance-like denominator appears in the
-class density and its blurred variant.
+class density and its blurred variant. ``log_likelihood`` is the one
+statement of the class log likelihood, used by ``store_log_likelihoods``
+(every node and class of a batch of rows, the input of fusion in
+``emn.inference``), by ``reinforced_update`` and by ``emn.dataio``.
 
-Supervised and reinforced memorization (``emn.adaptation``) share one
-batch EMA with temperature ``HyperParams.beta``: supervised rows weigh 1,
-reinforced rows their confidence. The first update of a (node, class)
-pair takes the batch statistics as they are. Both run through one loop
-over shuffled batches of ``HyperParams.batch_size`` rows, and each batch
-is one update for all its classes: ``_ClassBlocks`` sorts it stably by
-label, the arithmetic runs over the whole batch, and only the per-class
-column sums are taken block by block, in the order and on the block
-shape of a loop over classes (the reference in ``tests/oracles.py``).
-Retrieval works in log space: ``_log_terms`` is the one dispatch between
-the blurred and the plain class density, used both by
-``store_log_likelihoods`` (every node and class of a batch of rows, the
-input of fusion in ``emn.inference``) and, through ``log_likelihood``, by
-the reinforced update.
+``supervised_update`` and ``reinforced_update`` (driven by the epoch loop
+of ``emn.adaptation``) share one batch EMA with temperature
+``HyperParams.beta``: supervised rows weigh 1, reinforced rows their
+confidence. The first update of a (node, class) pair takes the batch
+statistics as they are. Both run through one loop over shuffled batches
+of ``HyperParams.batch_size`` rows, and each batch is one update for all
+its classes: ``_ClassBlocks`` sorts it stably by label, the arithmetic
+runs over the whole batch, and only the per-class column sums are taken
+block by block, in the order and on the block shape of a loop over
+classes (the reference in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -175,6 +174,37 @@ def supervised_update(store: MemoryStore, signals, labels) -> None:
         _ema_update(store, blocks, 1.0, blocks.counts[:, None])
 
 
+def reinforced_update(store: MemoryStore, signals, pseudo_labels) -> None:
+    """Confidence-weighted EMA update driven by pseudo labels.
+
+    Per node and per pseudo class, each sample contributes with weight
+    equal to the likelihood of its memory signal under that class (1 when
+    confidence weighting is disabled). Only (node, pseudo-class) pairs
+    present in the batch are touched; every class updates in one pass.
+    """
+    if not store.fully_initialized:
+        raise NotTrainedError("reinforced updates require a trained store")
+    signals, labels = _check_batch(store, signals, pseudo_labels)
+    if not labels.size:
+        return
+    hyper = store.hyper
+    blocks = _ClassBlocks(signals, labels)
+    if hyper.confidence_enabled:
+        k = blocks.classes[blocks.index]  # each sorted row's pseudo class
+        mu, sigma = store.mu[:, k].T, store.sigma[:, k].T
+        e = np.exp(log_likelihood(hyper, mu, sigma, blocks.rows))
+    else:
+        e = np.ones_like(blocks.rows)
+
+    if hyper.confidence_normalized:
+        divisor = blocks.sums(e)  # 0 when no row carries confidence
+    elif hyper.literal_batch_divisor:
+        divisor = float(signals.shape[0])
+    else:
+        divisor = blocks.counts[:, None]
+    _ema_update(store, blocks, e, divisor)
+
+
 def batched_updates(update, store: MemoryStore, signals, labels, seed: int) -> None:
     """``update`` over shuffled batches of ``store.hyper.batch_size`` rows:
     the one batch loop of training and adaptation."""
@@ -185,25 +215,25 @@ def batched_updates(update, store: MemoryStore, signals, labels, seed: int) -> N
         update(store, signals[idx], labels[idx])
 
 
-def _log_terms(hyper: HyperParams, sigma):
-    """Per (node, class) ``(offset, scale)`` of the class log likelihood
-    ``offset - (m_hat - mu)**2 / scale``: blurred when fuzzy is on, else the
-    plain density with sigma as the variance term, floored at the smallest
-    positive normal so degenerate (zero-spread) memories stay finite."""
-    sigma = np.asarray(sigma, dtype=np.float64)
+def log_likelihood(hyper: HyperParams, mu, sigma, m_hat):
+    """Class log likelihood of memory signals, ``offset - (m_hat - mu)**2 /
+    scale``: blurred when fuzzy is on, else the plain density with sigma as
+    the variance term, floored at the smallest positive normal so degenerate
+    (zero-spread) memories stay finite. Computed in place in one buffer of
+    the broadcast shape; a float for 0-d inputs."""
+    mu, sigma, m_hat = (np.asarray(a, dtype=np.float64) for a in (mu, sigma, m_hat))
     if hyper.fuzzy_enabled:
         sigma1 = hyper.sigma1
-        denom = 2.0 * sigma + sigma1
-        return 0.5 * np.log(sigma1) - np.log(2.0) - 0.5 * np.log(denom), denom
-    sigma = np.maximum(sigma, CONFIDENCE_FLOOR)
-    return -0.5 * (_LOG_2PI + np.log(sigma)), 2.0 * sigma
-
-
-def log_likelihood(hyper: HyperParams, mu, sigma, m_hat):
-    """Class log likelihood of memory signals: blurred when fuzzy is on."""
-    offset, scale = _log_terms(hyper, sigma)
-    mu, m_hat = (np.asarray(a, dtype=np.float64) for a in (mu, m_hat))
-    out = offset - (m_hat - mu) ** 2 / scale
+        scale = 2.0 * sigma + sigma1
+        offset = 0.5 * np.log(sigma1) - np.log(2.0) - 0.5 * np.log(scale)
+    else:
+        sigma = np.maximum(sigma, CONFIDENCE_FLOOR)
+        offset, scale = -0.5 * (_LOG_2PI + np.log(sigma)), 2.0 * sigma
+    out = np.empty(np.broadcast(m_hat, mu, sigma).shape)
+    np.subtract(m_hat, mu, out)
+    np.square(out, out)
+    np.divide(out, scale, out)
+    np.subtract(offset, out, out)
     return out if out.ndim else float(out)
 
 
@@ -216,13 +246,8 @@ def store_log_likelihoods(store: MemoryStore, signals: np.ndarray) -> np.ndarray
     """
     if not store.fully_initialized:
         raise NotTrainedError("memory store has uninitialized (node, class) pairs")
-    # Contiguous copies of signals.T, mu.T and sigma.T: every pass below
-    # then runs unit-stride.
+    # Contiguous copies of signals.T, mu.T and sigma.T: every pass of
+    # log_likelihood then runs unit-stride.
     m = np.ascontiguousarray(np.transpose(signals), dtype=np.float64)
-    offset, scale = _log_terms(store.hyper, store.sigma.T.copy()[:, :, None])
-    out = np.empty((store.class_count, store.node_count, m.shape[1]))
-    np.subtract(m, store.mu.T.copy()[:, :, None], out)
-    np.square(out, out)
-    np.divide(out, scale, out)
-    np.subtract(offset, out, out)
-    return out.transpose(2, 1, 0)
+    mu, sigma = (a.T.copy()[:, :, None] for a in (store.mu, store.sigma))
+    return log_likelihood(store.hyper, mu, sigma, m).transpose(2, 1, 0)

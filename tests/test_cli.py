@@ -427,6 +427,31 @@ def test_overflowing_feature_is_a_data_error(
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["predict", "eval", "adapt"])
+def test_overflowing_memory_is_a_model_error(
+    task_files, model_file, tmp_path, capsys, command
+):
+    # A document whose mu are all 1e300 loads (training on features near
+    # 1e300 gives such mu) but overflows retrieval on every moderate row.
+    import zlib
+
+    _, tgt = task_files
+    doc = json.loads(model_file.read_text())
+    mu = doc["payload"]["memory"]["mu"]
+    doc["payload"]["memory"]["mu"] = [[1e300] * len(row) for row in mu]
+    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["crc32"] = zlib.crc32(canonical.encode("utf-8"))
+    model_file.write_text(json.dumps(doc))
+    argv = [command, "--model", str(model_file), "--target", str(tgt)]
+    if command == "adapt":
+        argv += ["--out", str(tmp_path / "adapted.json")]
+    code, out, err = _run(capsys, *argv)
+    assert code == 4
+    assert "row 0" in err and "mu too large" in err
+    assert out == ""
+
+
 def test_emnf_header_beyond_the_file_is_a_data_error(model_file, tmp_path, capsys):
     bad = tmp_path / "bad.emnf"
     big = 2**32 - 1

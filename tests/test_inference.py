@@ -3,7 +3,13 @@ import pytest
 
 from emn.adaptation import AdaptationConfig, adapt, pseudo_label
 from emn.dataio import FeatureDataset
-from emn.errors import ConfigError, DimensionError, NonFiniteError, NotTrainedError
+from emn.errors import (
+    ConfigError,
+    DimensionError,
+    IntegrityError,
+    NonFiniteError,
+    NotTrainedError,
+)
 from emn.harness import evaluate
 from emn.inference import (
     EmnModel,
@@ -224,4 +230,18 @@ def test_non_finite_signal_row_is_a_data_error(value):
     signals[2] = value
     assert not np.isfinite(fused_posteriors_from_signals(model, signals)[2]).all()
     with pytest.raises(NonFiniteError, match="row 2"):
+        labels_from_signals(model, signals)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_memory_is_a_model_error():
+    # Every mu at 1e300 overflows retrieval on moderate rows: the model's
+    # fault. A row whose own signals overflow stays the data's fault.
+    model, X, _ = _trained_model(seed=10)
+    model.store.mu[:] = 1e300
+    signals = propagate_batch(model.topology, X[:4], model.hyper.rounds)
+    with pytest.raises(IntegrityError, match="row 0: .*mu too large"):
+        labels_from_signals(model, signals)
+    signals[0] = -1e300
+    with pytest.raises(NonFiniteError, match="row 0: .*features too large"):
         labels_from_signals(model, signals)

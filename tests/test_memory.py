@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from emn import adaptation, memory
 from emn.errors import ConfigError, DimensionError, LabelRangeError, NotTrainedError
 from emn.inference import batch_node_votes, build_model
 from emn.memory import (
@@ -181,6 +182,58 @@ class TestLogFuzzyLikelihood:
         got = log_likelihood(HyperParams(sigma1=1.0), 0.0, 1.0, 100.0)
         assert math.isfinite(got)
         assert got == pytest.approx(math.log(Q0) - 10000.0 / 3.0, rel=1e-12)
+
+
+def _formula(hyper, mu, sigma, m_hat):
+    """The class log likelihood written out as allocating numpy expressions."""
+    mu, sigma, m_hat = (np.asarray(a, dtype=np.float64) for a in (mu, sigma, m_hat))
+    if hyper.fuzzy_enabled:
+        denom = 2.0 * sigma + hyper.sigma1
+        offset = 0.5 * np.log(hyper.sigma1) - np.log(2.0) - 0.5 * np.log(denom)
+        return offset - (m_hat - mu) ** 2 / denom
+    sigma = np.maximum(sigma, CONFIDENCE_FLOOR)
+    return -0.5 * (np.log(2.0 * np.pi) + np.log(sigma)) - (m_hat - mu) ** 2 / (
+        2.0 * sigma
+    )
+
+
+SPECIAL = [0.0, -0.0, 1.5, -2.0, 1e300, -1e300, np.inf, -np.inf, np.nan, 5e-324]
+
+
+class TestLogLikelihood:
+    @pytest.mark.parametrize("fuzzy", [True, False])
+    def test_matches_formula_bit_for_bit(self, fuzzy):
+        hyper = HyperParams(sigma1=0.7, fuzzy_enabled=fuzzy)
+        rng = np.random.default_rng(5)
+        values = np.array(SPECIAL)
+        spreads = np.array([0.0, -0.0, 0.3, 1e300, np.inf, np.nan, 5e-324])
+        mu = np.concatenate([values, rng.normal(size=6)])[:, None, None]
+        sigma = np.concatenate([spreads, np.abs(rng.normal(size=4))])[None, :, None]
+        m_hat = np.concatenate([values, rng.normal(size=6)])[None, None, :]
+        with np.errstate(all="ignore"):
+            got = log_likelihood(hyper, mu, sigma, m_hat)
+            want = _formula(hyper, mu, sigma, m_hat)
+        assert got.shape == (16, 11, 16)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fuzzy", [True, False])
+    def test_zero_d_inputs_give_a_float(self, fuzzy):
+        hyper = HyperParams(fuzzy_enabled=fuzzy)
+        got = log_likelihood(hyper, np.float64(0.5), 0.0, 1)
+        assert type(got) is float
+        assert got == float(_formula(hyper, 0.5, 0.0, 1))
+
+    def test_broadcasts_when_sigma_has_the_largest_shape(self):
+        hyper = HyperParams(sigma1=1.3)
+        sigma = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+        m_hat = np.array([1.0, -1.0, 0.0, 2.0])
+        got = log_likelihood(hyper, 0.25, sigma, m_hat)
+        assert got.shape == (3, 4)
+        assert got.tobytes() == _formula(hyper, 0.25, sigma, m_hat).tobytes()
+
+
+def test_reinforced_update_has_one_home():
+    assert adaptation.reinforced_update is memory.reinforced_update
 
 
 class TestNodePosterior:
