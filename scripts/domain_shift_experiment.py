@@ -49,13 +49,15 @@ def run_seed(seed, args):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--classes", type=int, default=3)
-    ap.add_argument("--dim", type=int, default=20)
-    ap.add_argument("--samples-per-class", type=int, default=200)
+    ap.add_argument("--classes", type=int, default=SynthConfig.class_count)
+    ap.add_argument("--dim", type=int, default=SynthConfig.dim)
+    ap.add_argument(
+        "--samples-per-class", type=int, default=SynthConfig.samples_per_class
+    )
     ap.add_argument("--mean-scale", type=float, default=0.1)
     ap.add_argument("--spread", type=float, default=0.15)
     ap.add_argument("--shift", type=float, default=0.4)
-    ap.add_argument("--epochs", type=int, default=16)
+    ap.add_argument("--epochs", type=int, default=AdaptationConfig.epochs)
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(42, 52)))
     args = ap.parse_args()
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from emn.dataio import write_memory_csv
-from emn.errors import ConfigError
+from emn.errors import ConfigError, DimensionError
 from emn.inference import EmnModel, feature_signals, labels_from_signals
 from emn.memory import batched_updates, reinforced_update
 
@@ -32,6 +32,8 @@ class AdaptationConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.shuffle_seed < 0:
+            raise ConfigError("shuffle_seed must be non-negative")
 
 
 @dataclass
@@ -78,6 +80,8 @@ def _adapt(model, signals, cfg, held_out_labels, snapshot_dir) -> AdaptationHist
     topology and the rows: pseudo labels and updates reuse them all run."""
     n = signals.shape[0]
     held_out = None if held_out_labels is None else np.asarray(held_out_labels)
+    if held_out is not None and held_out.shape != (n,):
+        raise DimensionError(f"held-out labels must be shaped ({n},)")
 
     # The labels after epoch e's update are both its held-out predictions
     # and epoch e+1's pseudo labels (same store, same signals), so the

@@ -218,6 +218,8 @@ class SynthConfig:
             raise ConfigError("scales must be positive")
         if self.shift_vector_norm < 0:
             raise ConfigError("shift_vector_norm must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 def synth_shifted_blobs(cfg: SynthConfig) -> tuple[FeatureDataset, FeatureDataset]:
@@ -306,7 +308,7 @@ def load_model(path) -> EmnModel:
         return _model_from_payload(payload, path)
     except KeyError as exc:
         raise IntegrityError(f"{path}: missing key {exc}") from None
-    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+    except (ConfigError, DimensionError, TypeError, ValueError, OverflowError) as exc:
         raise IntegrityError(f"{path}: {exc}") from None
 
 
@@ -324,51 +326,33 @@ def _config(cls, values: dict, path):
 def _model_from_payload(payload: dict, path) -> EmnModel:
     tcfg = _config(TopologyConfig, payload["topology"]["config"], path)
     hyper = _config(HyperParams, payload["hyper"], path)
-
-    n = tcfg.node_count
-    edges, weights = payload["topology"]["edges"], payload["topology"]["weights"]
-    if len(edges) != n or len(weights) != n:
-        raise IntegrityError(f"{path}: edge and weight lists must cover {n} nodes")
+    edges = payload["topology"]["edges"]
     # JSON integers only: a cast would turn 0.5 or true into edge 0.
     if not {type(e) for p in edges for e in p} <= {int}:
         raise IntegrityError(f"{path}: edge ids must be JSON integers")
-    preds = [np.array(p, dtype=np.int64) for p in edges]
-    weights = [np.array(w, dtype=np.float64) for w in weights]
-    for i, (p, w) in enumerate(zip(preds, weights)):
-        if p.shape != w.shape:
-            raise IntegrityError(f"{path}: node {i}: edges and weights misaligned")
-        if p.size and (p.min() < 0 or p.max() >= n):
-            raise IntegrityError(f"{path}: node {i}: edge id outside [0, {n})")
-    # build_topology draws weights from [-1, 1); the closed range is
-    # accepted. NaN fails the test too.
-    if not (np.abs(np.concatenate(weights)) <= 1.0).all():
-        raise IntegrityError(f"{path}: edge weights must be finite and in [-1, 1]")
-    topology = NetworkTopology(tcfg, preds, weights)
-
+    topology = NetworkTopology(
+        tcfg,
+        [np.array(p, dtype=np.int64) for p in edges],
+        [np.array(w, dtype=np.float64) for w in payload["topology"]["weights"]],
+    )
     class_count = payload["class_count"]
     if type(class_count) is not int or class_count < 1:
         raise IntegrityError(f"{path}: class_count must be a positive integer")
-    m = topology.memory_node_count
     mem = payload["memory"]
-    arrays = {
-        "mu": np.array(mem["mu"], dtype=np.float64),
-        "sigma": np.array(mem["sigma"], dtype=np.float64),
-        "initialized": np.array(mem["initialized"], dtype=bool),
-    }
-    for name, a in arrays.items():
-        if a.shape != (m, class_count):
-            raise IntegrityError(
-                f"{path}: memory {name} must be shaped ({m}, {class_count})"
-            )
+    store = MemoryStore(
+        np.array(mem["mu"], dtype=np.float64),
+        np.array(mem["sigma"], dtype=np.float64),
+        np.array(mem["initialized"], dtype=bool),
+        hyper,
+    )
     # Uninitialized pairs load; retrieval refuses them with NotTrainedError.
-    mu, sigma = arrays["mu"], arrays["sigma"]
+    mu, sigma = store.mu, store.sigma
     if not (np.isfinite(mu).all() and (np.isfinite(sigma) & (sigma >= 0.0)).all()):
         raise IntegrityError(f"{path}: memory mu must be finite, sigma finite and >= 0")
     # A pair that scores its own mu non-finitely scores every signal -inf.
     with np.errstate(over="ignore"):
         if not np.isfinite(log_likelihood(hyper, mu, sigma, mu)).all():
             raise IntegrityError(f"{path}: memory sigma too large to score a signal")
-    store = MemoryStore(**arrays, hyper=hyper)
     return EmnModel(
         topology, store, class_count, hyper, dict(payload.get("metadata", {}))
     )

@@ -13,6 +13,7 @@ from emn.adaptation import AdaptationConfig, AdaptationHistory, _adapt, adapt, p
 from emn.dataio import FeatureDataset
 from emn.errors import (
     ClassCountMismatch,
+    ConfigError,
     DimensionError,
     LabelRangeError,
     MissingLabelsError,
@@ -67,6 +68,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise UsageError("repetitions must be >= 1")
+        if self.shuffle_seed < 0:
+            raise UsageError("shuffle_seed must be non-negative")
 
 
 @dataclass
@@ -182,6 +185,8 @@ def train_supervised(
     """One shuffled pass of batched supervised memory updates."""
     if source.labels is None:
         raise MissingLabelsError("supervised training requires labels")
+    if shuffle_seed < 0:
+        raise ConfigError("shuffle_seed must be non-negative")
     check_label_range(source.labels, model.class_count)
     # Rows propagate independently, so the source is propagated once and
     # each shuffled batch slices its signals.
@@ -216,6 +221,8 @@ def run_ablation(
     and each dataset is propagated once."""
     if source.labels is None or target.labels is None:
         raise MissingLabelsError("ablation requires labeled source and target")
+    if train_seed < 0:
+        raise ConfigError("train_seed must be non-negative")
     base_hyper = base_hyper or HyperParams()
     adapt_cfg = adapt_cfg or AdaptationConfig()
     C = source.label_class_count()

@@ -68,6 +68,11 @@ class MemoryStore:
     initialized: np.ndarray  # nodes x classes, bool
     hyper: HyperParams
 
+    def __post_init__(self) -> None:
+        shape = self.mu.shape
+        if len(shape) != 2 or not self.sigma.shape == self.initialized.shape == shape:
+            raise DimensionError("mu, sigma and initialized must share one 2-D shape")
+
     @property
     def node_count(self) -> int:
         return self.mu.shape[0]

@@ -64,8 +64,9 @@ class _Phase:
     """Rank tables of one group of nodes, for ordered accumulation.
 
     Column j of ``src``/``weights`` holds node j's predecessors and weights
-    in list order. Shorter lists are padded with the always-zero output row
-    and weight 0.0: a sum that starts at +0.0 is never -0.0, so the appended
+    in list order. Shorter lists, and every list of a phase without edges
+    (which gets one rank), are padded with the always-zero output row and
+    weight 0.0: a sum that starts at +0.0 is never -0.0, so the appended
     +0.0 terms leave it bit-identical.
     """
 
@@ -82,10 +83,10 @@ class CompiledTopology:
     feature at round 0 and nothing after. A node whose predecessors are all
     pure sources (every hub of ``build_topology``) emits the positive part
     of one ordered sum in round 1 and nothing after: its later input is
-    +0.0 (or NaN for a non-finite weight), which cannot lift a hidden state
-    that is <= 0 or NaN. Every other node iterates for T rounds. Nodes are
-    classified by their predecessor lists, never by their id range, so any
-    edge set keeps the scalar semantics of the module docstring.
+    +0.0, which cannot lift a hidden state that is <= 0 or NaN. Every other
+    node iterates for T rounds. Nodes are classified by their predecessor
+    lists, never by their id range, so any edge set keeps the scalar
+    semantics of the module docstring.
     """
 
     one_shot: _Phase
@@ -103,13 +104,12 @@ def _phase(topology: NetworkTopology, nodes: list[int]) -> _Phase:
     nodes = np.array(nodes, dtype=np.int64)
     preds = [topology.predecessors[i] for i in nodes]
     degrees = np.array([p.size for p in preds], dtype=np.int64)
-    width = int(degrees.max(initial=0))
+    width = max(1, int(degrees.max(initial=0)))
     src = np.full((nodes.size, width), n, dtype=np.int64)
     weights = np.zeros((nodes.size, width))
-    if width:
+    if nodes.size:
         filled = np.arange(width) < degrees[:, None]
-        # Negative ids count from the end, as in numpy indexing.
-        src[filled] = np.arange(n)[np.concatenate(preds)]
+        src[filled] = np.concatenate(preds)
         weights[filled] = np.concatenate([topology.weights[i] for i in nodes])
     return _Phase(nodes, src.T.copy(), weights.T[:, :, None].copy())
 
@@ -147,8 +147,6 @@ def _ordered_sum(o: np.ndarray, phase: _Phase) -> np.ndarray:
     on a few rows.
     """
     if o.shape[1] == 1:
-        if not phase.src.size:
-            return np.zeros((phase.nodes.size, 1))
         terms = o.take(phase.src, axis=0)
         terms *= phase.weights
         np.add.accumulate(terms, axis=0, out=terms)

@@ -9,6 +9,11 @@ uniform on [-1, 1).
 Randomness comes from numpy's PCG64 generator seeded with the config seed.
 The draw order is fixed: all hub weights in node-id order, then for each
 bridging node in id order its predecessor sample followed by its weights.
+
+Edge-set rule, checked when a ``NetworkTopology`` is built (``ConfigError``):
+per node, one 1-D array of integer predecessor ids in [0, node_count) and
+an aligned array of finite weights in [-1, 1]. Any such edge set is valid,
+self-loops, repeats and predecessors of entrances included.
 """
 
 from __future__ import annotations
@@ -72,6 +77,19 @@ class NetworkTopology:
     compiled: CompiledTopology | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        n, preds, weights = self.node_count, self.predecessors, self.weights
+        if len(preds) != n or len(weights) != n:
+            raise ConfigError(f"edge and weight lists must cover {n} nodes")
+        for i, (p, w) in enumerate(zip(preds, weights)):
+            if p.ndim != 1 or p.shape != w.shape or p.dtype.kind not in "iu":
+                raise ConfigError(f"node {i}: edges not integer ids aligned with weights")
+            if p.size and (p.min() < 0 or p.max() >= n):
+                raise ConfigError(f"node {i}: edge id outside [0, {n})")
+        # NaN fails the test too.
+        if not (np.abs(np.concatenate(weights)) <= 1.0).all():
+            raise ConfigError("edge weights must be finite and in [-1, 1]")
 
     @property
     def node_count(self) -> int:

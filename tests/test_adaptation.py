@@ -10,7 +10,7 @@ from emn.adaptation import (
     pseudo_label,
     reinforced_update,
 )
-from emn.errors import ConfigError, NotTrainedError
+from emn.errors import ConfigError, DimensionError, NotTrainedError
 from emn.inference import EmnModel, build_model, labels_from_signals, predict_batch
 from emn.memory import HyperParams, batched_updates, init_memory, supervised_update
 from emn.propagation import propagate_batch
@@ -200,6 +200,19 @@ class TestAdapt:
         snaps = tmp_path / "snaps"
         with pytest.raises(NotTrainedError):
             adapt(model, np.ones((rows, 4)), AdaptationConfig(epochs=2), None, snaps)
+        assert not snaps.exists()
+        for name in ("mu", "sigma", "initialized"):
+            assert np.array_equal(getattr(model.store, name), getattr(before, name))
+
+    @pytest.mark.parametrize("shape", [(5,), (61,), (60, 1), ()])
+    def test_misshaped_held_out_labels_are_refused_before_anything_is_written(
+        self, tmp_path, shape
+    ):
+        model, X, _ = _trained_model(seed=6)
+        before = model.store.copy()
+        snaps = tmp_path / "snaps"
+        with pytest.raises(DimensionError):
+            adapt(model, X[:60], AdaptationConfig(epochs=2), np.zeros(shape, int), snaps)
         assert not snaps.exists()
         for name in ("mu", "sigma", "initialized"):
             assert np.array_equal(getattr(model.store, name), getattr(before, name))

@@ -2,9 +2,11 @@
 
 Whatever text ``emn predict`` and ``emn eval`` are given as a CSV dataset,
 and whatever model document or EMNF dataset ``emn predict`` is given, they
-exit with 0, 2, 3 or 4 and print no traceback.
+exit with 0, 2, 3 or 4 and print no traceback. So does every subcommand
+with any of its integer options at -1 or 0.
 """
 
+import argparse
 import json
 import struct
 import warnings
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from emn.cli import main
+from emn.cli import build_parser, main
 
 DIM = 4
 EXIT_CODES = {0, 2, 3, 4}
@@ -215,3 +217,57 @@ def test_mutated_emnf_gives_a_documented_exit_code(workdir, capsys, data):
     target = root / "mutated.emnf"
     target.write_bytes(data.draw(mutated_emnf(features, labels)))
     _run_predict(capsys, model, target)
+
+
+# ---------------------------------------------------------------------------
+# Every integer option of every subcommand at -1 and at 0
+
+
+def _int_options():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, p in sub.choices.items():
+        configurable = p.get_default("configurable") or {}
+        for action in p._actions:
+            if configurable.get(action.dest) is int:
+                yield command, action.option_strings[0]
+
+
+INT_OPTIONS = sorted(_int_options())
+
+
+def _base_argv(command, root, model, tmp_path):
+    """A small, valid invocation of ``command`` as an option -> value map."""
+    src, tgt = str(root / "source.csv"), str(root / "target.csv")
+    net = {"--hub": "4", "--bridging": "4", "--in-degree": "3"}
+    return {
+        "synth": {"--out-source": str(tmp_path / "s.csv"),
+                  "--out-target": str(tmp_path / "t.csv"),
+                  "--classes": "2", "--dim": "3", "--samples-per-class": "4"},
+        "train": {"--source": src, "--model": str(tmp_path / "m.json"), **net},
+        "adapt": {"--model": str(model), "--target": tgt,
+                  "--out": str(tmp_path / "m.json"), "--epochs": "2"},
+        "bench": {"--model": str(model), "--target": tgt, "--repetitions": "1"},
+        "ablate": {"--source": src, "--target": tgt, "--epochs": "2", **net},
+    }[command]
+
+
+def test_every_subcommand_with_an_int_option_is_covered():
+    assert {c for c, _ in INT_OPTIONS} == {"synth", "train", "adapt", "bench", "ablate"}
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("command, option", INT_OPTIONS)
+def test_int_option_at_minus_one_or_zero_gives_a_documented_exit_code(
+    workdir, tmp_path, capsys, command, option, value
+):
+    root, model, _ = workdir
+    argv = _base_argv(command, root, model, tmp_path) | {option: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([command, *(item for pair in argv.items() for item in pair)])
+    err = capsys.readouterr().err
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")

@@ -30,13 +30,16 @@ CASES = [
     (TopologyConfig, {"feature_dim": 4}, {"seed": -1}, ConfigError),
     (TopologyConfig, {"feature_dim": 4}, {"seed": 2**64}, ConfigError),
     (AdaptationConfig, {}, {"epochs": 0}, ConfigError),
+    (AdaptationConfig, {}, {"shuffle_seed": -1}, ConfigError),
     (BenchConfig, {}, {"repetitions": 0}, UsageError),
+    (BenchConfig, {}, {"shuffle_seed": -1}, UsageError),
     (SynthConfig, {}, {"class_count": 1}, ConfigError),
     (SynthConfig, {}, {"dim": 0}, ConfigError),
     (SynthConfig, {}, {"samples_per_class": 0}, ConfigError),
     (SynthConfig, {}, {"class_mean_scale": 0.0}, ConfigError),
     (SynthConfig, {}, {"within_class_spread": -1.0}, ConfigError),
     (SynthConfig, {}, {"shift_vector_norm": -1.0}, ConfigError),
+    (SynthConfig, {}, {"seed": -1}, ConfigError),
 ]
 IDS = [f"{cls.__name__}-{next(iter(bad.items()))}" for cls, _, bad, _ in CASES]
 

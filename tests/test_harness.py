@@ -8,6 +8,7 @@ from emn.adaptation import AdaptationConfig, adapt
 from emn.dataio import FeatureDataset, SynthConfig, synth_shifted_blobs
 from emn.errors import (
     ClassCountMismatch,
+    ConfigError,
     LabelRangeError,
     MissingLabelsError,
     UsageError,
@@ -83,6 +84,15 @@ class TestTrainSupervised:
         assert np.array_equal(model.store.mu, expected.store.mu)
         assert np.array_equal(model.store.sigma, expected.store.sigma)
         assert np.array_equal(model.store.initialized, expected.store.initialized)
+
+    def test_negative_seed_is_refused_before_propagation(self):
+        src, _ = _task(3)
+        model = build_model(TopologyConfig(8, 10, 10, 6, seed=3), 3)
+        propagation.reset_forward_sample_count()
+        with pytest.raises(ConfigError):
+            train_supervised(model, src, shuffle_seed=-1)
+        assert propagation.forward_sample_count() == 0
+        assert not model.store.initialized.any()
 
 
 class TestEvaluate:
@@ -256,6 +266,13 @@ class TestAblation:
                 assert np.array_equal(a.per_class_accuracy, b.per_class_accuracy)
             assert _scores(v.history) == _scores(history)
             assert v.target_best == history.best_epoch().accuracy
+
+    def test_negative_train_seed_is_refused_before_propagation(self):
+        src, tgt = _task(0)
+        propagation.reset_forward_sample_count()
+        with pytest.raises(ConfigError):
+            run_ablation(src, tgt, TopologyConfig(8, 10, 10, 6), train_seed=-1)
+        assert propagation.forward_sample_count() == 0
 
     def test_propagates_each_dataset_once(self):
         src, tgt = _hard_task(7)

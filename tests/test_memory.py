@@ -11,6 +11,7 @@ from emn.inference import batch_node_votes, build_model
 from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
+    MemoryStore,
     init_memory,
     log_likelihood,
     supervised_update,
@@ -49,6 +50,21 @@ class TestInit:
             init_memory(100, 0)
         with pytest.raises(ConfigError):
             init_memory(0, 3)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(4, 2), (4, 3), (4, 2)],
+            [(4, 2), (4, 2), (2, 4)],
+            [(3, 2), (4, 2), (4, 2)],
+            [(8,), (8,), (8,)],
+            [(2, 2, 2), (2, 2, 2), (2, 2, 2)],
+        ],
+    )
+    def test_store_arrays_share_one_2d_shape(self, shapes):
+        mu, sigma, initialized = (np.ones(s) for s in shapes)
+        with pytest.raises(DimensionError):
+            MemoryStore(mu, sigma, initialized.astype(bool), HyperParams())
 
     def test_bad_hyper(self):
         with pytest.raises(ConfigError):

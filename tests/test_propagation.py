@@ -220,10 +220,10 @@ def test_hub_with_bridging_predecessor():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_oracle_equivalence_arbitrary_edge_sets():
-    # Loaded model documents may carry any edge set: entrances with
-    # predecessors, self-loops, repeated predecessors, ragged in-degrees,
-    # negative ids (which index from the end, as in the scalar oracle).
-    # Non-finite features make any stray 0 * x term visible.
+    # A topology may carry any edge set within the edge-set rule of
+    # emn.topology: entrances with predecessors, self-loops, repeated
+    # predecessors, ragged in-degrees. Non-finite features make any stray
+    # 0 * x term visible.
     rng = np.random.default_rng(77)
     for trial in range(60):
         d, h, b = (int(v) for v in rng.integers(1, 5, size=3))
@@ -231,7 +231,7 @@ def test_oracle_equivalence_arbitrary_edge_sets():
         preds, weights = [], []
         for _ in range(n):
             k = int(rng.integers(0, 6))
-            preds.append(rng.integers(-n, n, size=k))
+            preds.append(rng.integers(0, n, size=k))
             weights.append(rng.uniform(-1.0, 1.0, size=k))
         t = _hand_built(preds, weights, d, h, b)
         X = rng.normal(size=(4, d)) * 2.0
@@ -263,7 +263,10 @@ def test_one_row_with_empty_phases():
         for T in (1, 2, 4):
             for x, r in zip(X, _reference_rows(t, X, T)):
                 _assert_bitwise(propagate(t, x, T), r)
-    assert no_ranks.compiled.one_shot.src.shape[0] == 0
+    # A phase without edges reads one rank: the zero row, weight 0.0.
+    one_shot = no_ranks.compiled.one_shot
+    assert one_shot.src.tolist() == [[no_ranks.node_count] * 2]
+    assert one_shot.weights.tolist() == [[[0.0], [0.0]]]
     assert no_ranks.compiled.rest.nodes.size == 1
     assert no_rest.compiled.rest.nodes.size == 0
 

@@ -113,6 +113,54 @@ def test_config_errors():
         build_topology(TopologyConfig(2, 1, 1, 4, seed=0))
 
 
+def _four_nodes(preds, weights):
+    """Entrances 0 and 1, hub 2, bridging node 3, with the given edges."""
+    return NetworkTopology(TopologyConfig(2, 1, 1, 2), preds, weights)
+
+
+def _arrays(preds, weights):
+    return (
+        [np.array(p, dtype=np.int64) for p in preds],
+        [np.array(w, dtype=np.float64) for w in weights],
+    )
+
+
+def _set(lists, node, value):
+    lists[node] = value
+
+
+EDGE_FAULTS = {
+    "weight missing": lambda p, w: _set(w, 2, w[2][:1]),
+    "edge id past the end": lambda p, w: p[3].__setitem__(0, 4),
+    "edge id negative": lambda p, w: p[3].__setitem__(0, -1),
+    "predecessor list short": lambda p, w: p.pop(),
+    "weight list short": lambda p, w: w.pop(),
+    "weight beyond 1": lambda p, w: w[3].__setitem__(1, 5.0),
+    "weight not a number": lambda p, w: w[3].__setitem__(1, np.nan),
+    "weight infinite": lambda p, w: w[3].__setitem__(1, -np.inf),
+    "edge ids floats": lambda p, w: _set(p, 2, p[2].astype(np.float64)),
+    "edge ids booleans": lambda p, w: _set(p, 2, p[2].astype(bool)),
+    "edge list 2-D": lambda p, w: (_set(p, 2, p[2][None]), _set(w, 2, w[2][None])),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EDGE_FAULTS))
+def test_hand_built_fault_raises_when_built(fault):
+    preds, weights = _arrays([[], [], [0, 1], [1, 2]], [[], [], [1.0, -0.3], [0.3, -1.0]])
+    _four_nodes(preds, weights)
+    EDGE_FAULTS[fault](preds, weights)
+    with pytest.raises(ConfigError):
+        _four_nodes(preds, weights)
+
+
+def test_edge_set_rule_admits_any_edges_within_bounds():
+    # Entrance predecessors, self-loops, repeats, the closed weight range.
+    preds = [[3], [], [2, 2, 0], [3, 1]]
+    weights = [[1.0], [], [-1.0, 0.5, 0.0], [1.0, -1.0]]
+    t = _four_nodes(*_arrays(preds, weights))
+    assert [p.tolist() for p in t.predecessors] == preds
+
+
 def test_bridging_sampling_roughly_uniform():
     # 10,000 draws over a small pool; every non-self node must appear
     # within 5x of the uniform expectation.
