@@ -110,25 +110,23 @@ def bench(
     acfg = AdaptationConfig(epochs=1, shuffle_seed=cfg.shuffle_seed)
     inference_times = []
     adaptation_times = []
-    forward_per_sample = 0.0
-    for _ in range(cfg.repetitions):
+    for _ in range(cfg.repetitions):  # at least one
         start = time.perf_counter()
         predict_batch(model, target.features)
         inference_times.append((time.perf_counter() - start) / n)
 
         scratch = replace(model, store=model.store.copy(), metadata=dict(model.metadata))
-        propagation.reset_forward_sample_count()
         start = time.perf_counter()
-        adapt(scratch, target.features, acfg)
+        with propagation.forward_rows() as adapted_rows:
+            adapt(scratch, target.features, acfg)
         adaptation_times.append((time.perf_counter() - start) / n)
-        forward_per_sample = propagation.forward_sample_count() / n
 
     return BenchReport(
         per_sample_inference_seconds=statistics.median(inference_times),
         per_sample_adaptation_seconds=statistics.median(adaptation_times),
         sample_count=n,
         repetitions=cfg.repetitions,
-        forward_passes_per_adapted_sample=forward_per_sample,
+        forward_passes_per_adapted_sample=adapted_rows[0] / n,
         backward_passes=0,
         config=cfg,
         hyper=model.hyper,

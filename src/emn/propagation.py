@@ -26,6 +26,9 @@ over the rows of a chunk and loses to the rank loop as rows grow.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +36,20 @@ import numpy as np
 from emn.errors import ConfigError, DimensionError
 from emn.topology import NetworkTopology
 
-# Instrumentation: number of per-sample forward propagations executed.
-# Read/reset by the bench harness; there is no backward pass anywhere.
-_forward_samples = 0
+_scopes: ContextVar[tuple[list[int], ...]] = ContextVar("forward_rows", default=())
 
 
-def forward_sample_count() -> int:
-    return _forward_samples
-
-
-def reset_forward_sample_count() -> None:
-    global _forward_samples
-    _forward_samples = 0
+@contextmanager
+def forward_rows() -> Iterator[list[int]]:
+    """Count the rows propagated in the block in this context, nested
+    blocks included, as ``[count]``. A thread run in a copy of this context
+    counts into it unsynchronized: share no scope across threads."""
+    rows = [0]
+    token = _scopes.set((*_scopes.get(), rows))
+    try:
+        yield rows
+    finally:
+        _scopes.reset(token)
 
 
 @dataclass(frozen=True)
@@ -114,19 +119,14 @@ def _phase(topology: NetworkTopology, nodes: list[int]) -> _Phase:
     return _Phase(nodes, src.T.copy(), weights.T[:, :, None].copy())
 
 
-def _compile(topology: NetworkTopology) -> CompiledTopology:
-    """The topology's rank tables, compiled on first use and cached on it."""
-    compiled = topology.compiled
-    if compiled is None:
-        d, n, preds = topology.feature_dim, topology.node_count, topology.predecessors
-        pure = np.array([i < d and preds[i].size == 0 for i in range(n)])
-        one_shot = [i for i in range(d, n) if pure[preds[i]].all()]
-        settled = set(one_shot)
-        rest = [i for i in range(n) if not pure[i] and i not in settled]
-        compiled = CompiledTopology(_phase(topology, one_shot), _phase(topology, rest))
-        # Idempotent: concurrent first calls store equal tables.
-        topology.compiled = compiled
-    return compiled
+def compile_topology(topology: NetworkTopology) -> CompiledTopology:
+    """The rank tables of ``topology.compiled``."""
+    d, n, preds = topology.feature_dim, topology.node_count, topology.predecessors
+    pure = np.array([i < d and preds[i].size == 0 for i in range(n)])
+    one_shot = [i for i in range(d, n) if pure[preds[i]].all()]
+    settled = set(one_shot)
+    rest = [i for i in range(n) if not pure[i] and i not in settled]
+    return CompiledTopology(_phase(topology, one_shot), _phase(topology, rest))
 
 
 def _ordered_sum(o: np.ndarray, phase: _Phase) -> np.ndarray:
@@ -167,6 +167,8 @@ def _run_chunk(
     """Memory signals (M x rows, node-major) and trace of a chunk of rows."""
     one_shot, rest = compiled.one_shot, compiled.rest
     B, d = X.shape
+    for rows in _scopes.get():
+        rows[0] += B
     # Outputs of the last round; row n is the always-zero padding row.
     o = np.zeros((n + 1, B))
     o[:d] = X.T
@@ -205,14 +207,11 @@ def _run(topology: NetworkTopology, X: np.ndarray, T: int) -> np.ndarray:
     State is node-major (N x rows), so each rank gathers contiguous rows;
     rows go through in chunks of at most ``_CHUNK_CELLS`` state cells.
     """
-    global _forward_samples
-    compiled = _compile(topology)
     n, B = topology.node_count, X.shape[0]
     step = max(1, _CHUNK_CELLS // (n + 1))
     m = np.empty((B, topology.memory_node_count))
     for lo in range(0, B, step):
-        m[lo : lo + step] = _run_chunk(compiled, n, X[lo : lo + step], T)[0].T
-    _forward_samples += B
+        m[lo : lo + step] = _run_chunk(topology.compiled, n, X[lo : lo + step], T)[0].T
     return m
 
 
@@ -251,6 +250,6 @@ def propagate_trace(
 ) -> tuple[np.ndarray, PropagationTrace]:
     """As propagate, also recording per-round activation snapshots."""
     X = _check_input(topology, x, T, single=True)
-    m, rounds = _run_chunk(_compile(topology), topology.node_count, X, T, trace=True)
+    m, rounds = _run_chunk(topology.compiled, topology.node_count, X, T, trace=True)
     return m[:, 0], PropagationTrace(rounds)
 

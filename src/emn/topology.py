@@ -13,20 +13,18 @@ bridging node in id order its predecessor sample followed by its weights.
 Edge-set rule, checked when a ``NetworkTopology`` is built (``ConfigError``):
 per node, one 1-D array of integer predecessor ids in [0, node_count) and
 an aligned array of finite weights in [-1, 1]. Any such edge set is valid,
-self-loops, repeats and predecessors of entrances included.
+self-loops, repeats and predecessors of entrances included. The topology
+keeps read-only int64 and float64 copies, so the checked edges are final.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from emn.errors import ConfigError
-
-if TYPE_CHECKING:
-    from emn.propagation import CompiledTopology
 
 
 @dataclass(frozen=True)
@@ -62,21 +60,18 @@ class TopologyConfig:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkTopology:
-    """Safe for concurrent reads.
+    """Frozen, with read-only edges, so threads may share one topology.
 
-    The first propagation compiles the edges into rank tables and caches
-    them in ``compiled``; edges must not be mutated after that. The cache
-    write is idempotent, so concurrent first calls stay safe.
+    ``predecessors`` and ``weights`` hold read-only copies of the per-node
+    edge arrays it was built from. ``compiled`` holds propagation's rank
+    tables, built on first use; racing first uses build equal tables.
     """
 
     config: TopologyConfig
-    predecessors: list[np.ndarray]  # per node, int64 ids; empty for entrances
-    weights: list[np.ndarray]  # per node, float64 aligned with predecessors
-    compiled: CompiledTopology | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    predecessors: tuple[np.ndarray, ...]  # per node, int64 ids; empty for entrances
+    weights: tuple[np.ndarray, ...]  # per node, float64 aligned with predecessors
 
     def __post_init__(self) -> None:
         n, preds, weights = self.node_count, self.predecessors, self.weights
@@ -90,6 +85,17 @@ class NetworkTopology:
         # NaN fails the test too.
         if not (np.abs(np.concatenate(weights)) <= 1.0).all():
             raise ConfigError("edge weights must be finite and in [-1, 1]")
+        for name, dtype in (("predecessors", np.int64), ("weights", np.float64)):
+            copies = tuple(np.array(a, dtype=dtype) for a in getattr(self, name))
+            for a in copies:
+                a.flags.writeable = False
+            object.__setattr__(self, name, copies)
+
+    @cached_property
+    def compiled(self):
+        """Propagation's ``CompiledTopology``: rank tables built on first use."""
+        from emn.propagation import compile_topology
+        return compile_topology(self)
 
     @property
     def node_count(self) -> int:

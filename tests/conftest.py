@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emn.topology import NetworkTopology, TopologyConfig, build_topology
+from emn.topology import NetworkTopology, TopologyConfig
 
 
 @pytest.fixture
@@ -14,9 +14,6 @@ def tiny_topology() -> NetworkTopology:
     cfg = TopologyConfig(
         feature_dim=2, hub_count=1, bridging_count=1, bridging_in_degree=2, seed=7
     )
-    t = build_topology(cfg)
-    t.predecessors[2] = np.array([0, 1], dtype=np.int64)
-    t.weights[2] = np.array([1.0, -0.3])
-    t.predecessors[3] = np.array([1, 2], dtype=np.int64)
-    t.weights[3] = np.array([0.3, -1.0])
-    return t
+    preds = [np.empty(0, dtype=np.int64)] * 2 + [np.array([0, 1]), np.array([1, 2])]
+    weights = [np.empty(0)] * 2 + [np.array([1.0, -0.3]), np.array([0.3, -1.0])]
+    return NetworkTopology(cfg, preds, weights)

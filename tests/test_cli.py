@@ -283,7 +283,11 @@ def test_config_file_defaults_overridden_by_flags(tmp_path, capsys):
     src = tmp_path / "source.csv"
     tgt = tmp_path / "target.csv"
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("classes = 3\ndim = 8\nsamples-per-class = 5\nseed = 1\n")
+    # Comments, blank and blank-looking lines are skipped.
+    cfgfile.write_text(
+        "# a task\nclasses = 3  # three\n\ndim = 8\n"
+        "   \nsamples-per-class = 5\nseed = 1\n"
+    )
     code = main(
         ["synth", "--config", str(cfgfile), "--out-source", str(src),
          "--out-target", str(tgt), "--samples-per-class", "7"]
@@ -291,6 +295,19 @@ def test_config_file_defaults_overridden_by_flags(tmp_path, capsys):
     assert code == 0
     lines = src.read_text().splitlines()
     assert len(lines) == 1 + 3 * 7  # flag wins over config file
+
+
+def test_config_line_without_equals_is_a_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("classes = 2\nseed 1\n")
+    code, out, err = _run(
+        capsys, "synth", "--config", str(cfgfile), "--out-source",
+        str(tmp_path / "s.csv"), "--out-target", str(tmp_path / "t.csv"),
+    )
+    assert code == 2
+    assert "line 2" in err and "key = value" in err
+    assert out == ""
+    assert not (tmp_path / "s.csv").exists()
 
 
 def _saved_payload(path):

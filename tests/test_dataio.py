@@ -1,5 +1,7 @@
+import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from emn.dataio import (
     SynthConfig,
     load_model,
     read_csv,
+    read_dataset,
     read_emnf,
     save_model,
     synth_shifted_blobs,
     write_csv,
+    write_dataset,
     write_emnf,
     write_memory_csv,
 )
@@ -31,7 +35,7 @@ from emn.errors import (
 from emn.inference import build_model, predict
 from emn.memory import supervised_update
 from emn.propagation import propagate_batch
-from emn.topology import TopologyConfig
+from emn.topology import NetworkTopology, TopologyConfig
 
 
 class TestCsv:
@@ -89,6 +93,19 @@ class TestCsv:
         with pytest.raises(ParseError, match="UTF-8"):
             read_csv(path)
 
+    def test_header_of_only_a_label_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label\n0\n")
+        with pytest.raises(ParseError, match="no feature columns"):
+            read_csv(path)
+
+    def test_blank_data_line_is_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n\n3.0,4.0,1\n")
+        ds = read_csv(path)
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
 
 class TestEmnf:
     def test_round_trip_labeled(self, tmp_path):
@@ -124,6 +141,24 @@ class TestEmnf:
         write_emnf(ds, path)
         assert struct.unpack("<I", path.read_bytes()[16:20]) == (class_count,)
         assert read_emnf(path).labels.tolist() == labels
+
+    def test_round_trip_through_write_dataset(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ds = FeatureDataset(rng.normal(size=(6, 3)), rng.integers(0, 4, 6))
+        path = tmp_path / "d.bin"
+        write_dataset(ds, path, "emnf")
+        assert path.read_bytes()[:4] == b"EMNF"
+        back = read_dataset(path, "emnf")
+        assert np.array_equal(ds.features, back.features)
+        assert np.array_equal(ds.labels, back.labels)
+
+    @pytest.mark.parametrize("size", [0, 3, 4, 19])
+    def test_file_shorter_than_magic_or_header(self, tmp_path, size):
+        path = tmp_path / "d.emnf"
+        write_emnf(FeatureDataset(np.ones((2, 2))), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(TruncationError, match="file ended"):
+            read_emnf(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.emnf"
@@ -246,6 +281,28 @@ class TestModelDocument:
         save_model(_trained_model(seed=3), tmp_path / "model.json")
         text = (tmp_path / "model.json").read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text)) + "\n"
+
+    def test_saved_bytes_survive_a_load_and_a_hand_built_copy(self, tmp_path):
+        model = _trained_model(seed=4)
+        t = model.topology
+        hand = replace(
+            model,
+            topology=NetworkTopology(
+                t.config,
+                [p.astype(np.int32) for p in t.predecessors],
+                [w.copy() for w in t.weights],
+            ),
+            store=model.store.copy(),
+        )
+        path = tmp_path / "model.json"
+
+        def digest(m):
+            save_model(m, path)
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        saved = digest(model)
+        assert digest(load_model(path)) == saved
+        assert digest(hand) == saved
 
     def test_unknown_schema_version(self, tmp_path):
         model = _trained_model()

@@ -9,6 +9,7 @@ from emn.dataio import FeatureDataset, SynthConfig, synth_shifted_blobs
 from emn.errors import (
     ClassCountMismatch,
     ConfigError,
+    DimensionError,
     LabelRangeError,
     MissingLabelsError,
     UsageError,
@@ -85,13 +86,19 @@ class TestTrainSupervised:
         assert np.array_equal(model.store.sigma, expected.store.sigma)
         assert np.array_equal(model.store.initialized, expected.store.initialized)
 
+    def test_unlabeled_source_is_refused(self):
+        src, _ = _task(3)
+        model = build_model(TopologyConfig(8, 10, 10, 6, seed=3), 3)
+        with pytest.raises(MissingLabelsError, match="requires labels"):
+            train_supervised(model, FeatureDataset(src.features))
+        assert not model.store.initialized.any()
+
     def test_negative_seed_is_refused_before_propagation(self):
         src, _ = _task(3)
         model = build_model(TopologyConfig(8, 10, 10, 6, seed=3), 3)
-        propagation.reset_forward_sample_count()
-        with pytest.raises(ConfigError):
+        with propagation.forward_rows() as rows, pytest.raises(ConfigError):
             train_supervised(model, src, shuffle_seed=-1)
-        assert propagation.forward_sample_count() == 0
+        assert rows == [0]
         assert not model.store.initialized.any()
 
 
@@ -207,6 +214,13 @@ class TestGnbBaseline:
                 baseline_gnb_train(src), FeatureDataset(src.features, labels)
             )
 
+    def test_wrong_dimension_rejected(self):
+        src, _ = _task(9)
+        with pytest.raises(DimensionError, match="dimension"):
+            baseline_gnb_eval(
+                baseline_gnb_train(src), FeatureDataset(src.features[:, :-1], src.labels)
+            )
+
     def test_deterministic(self):
         src, _ = _task(9)
         a = baseline_gnb_train(src)
@@ -269,20 +283,19 @@ class TestAblation:
 
     def test_negative_train_seed_is_refused_before_propagation(self):
         src, tgt = _task(0)
-        propagation.reset_forward_sample_count()
-        with pytest.raises(ConfigError):
+        with propagation.forward_rows() as rows, pytest.raises(ConfigError):
             run_ablation(src, tgt, TopologyConfig(8, 10, 10, 6), train_seed=-1)
-        assert propagation.forward_sample_count() == 0
+        assert rows == [0]
 
     def test_propagates_each_dataset_once(self):
         src, tgt = _hard_task(7)
         src = FeatureDataset(src.features[:90], src.labels[:90])
-        propagation.reset_forward_sample_count()
-        run_ablation(
-            src, tgt, TopologyConfig(8, 10, 10, 6, seed=7),
-            adapt_cfg=AdaptationConfig(epochs=2),
-        )
-        assert propagation.forward_sample_count() == 90 + tgt.n_samples
+        with propagation.forward_rows() as rows:
+            run_ablation(
+                src, tgt, TopologyConfig(8, 10, 10, 6, seed=7),
+                adapt_cfg=AdaptationConfig(epochs=2),
+            )
+        assert rows == [90 + tgt.n_samples]
 
     def test_requires_labeled_source_and_target(self):
         src, tgt = _task(8)

@@ -161,9 +161,14 @@ def test_untrained_model_rejected_on_an_empty_batch():
 
 
 def test_dimension_error():
-    model, _, _ = _trained_model(seed=6)
+    model, X, _ = _trained_model(seed=6)
     with pytest.raises(DimensionError):
         predict(model, np.zeros(7))
+    with pytest.raises(DimensionError, match="single feature vector"):
+        predict(model, X[:1])
+    for row in (np.zeros(6), np.array([0.0] * 5 + [np.nan])):
+        with pytest.raises(DimensionError, match="2-D batch"):
+            predict_batch(model, row)
 
 
 def test_uniform_fusion_when_confidence_disabled():

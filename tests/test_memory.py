@@ -115,6 +115,9 @@ class TestSupervisedUpdate:
             supervised_update(store, np.zeros((1, 2)), np.array([2]))
         with pytest.raises(DimensionError):
             supervised_update(store, np.zeros((1, 3)), np.array([0]))
+        with pytest.raises(DimensionError, match="align"):
+            supervised_update(store, np.zeros((2, 2)), np.array([0]))
+        assert not store.initialized.any()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -250,6 +253,18 @@ class TestLogLikelihood:
 
 def test_reinforced_update_has_one_home():
     assert adaptation.reinforced_update is memory.reinforced_update
+
+
+def test_zero_row_reinforced_update_leaves_the_store_bit_identical():
+    store = init_memory(3, 2)
+    store.mu[:] = [[1.0, -0.0], [2.5, 3.0], [-4.0, 0.5]]
+    store.sigma[:] = [[0.5, 0.0], [1.0, 2.0], [0.25, 3.0]]
+    store.initialized[:] = True
+    before = store.copy()
+    memory.reinforced_update(store, np.empty((0, 3)), np.empty(0, dtype=np.int64))
+    for got, want in ((store.mu, before.mu), (store.sigma, before.sigma)):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(store.initialized, before.initialized)
 
 
 class TestNodePosterior:

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from emn import propagation
 from emn.errors import ConfigError, DimensionError
-from emn.propagation import propagate, propagate_batch, propagate_trace
+from emn.propagation import forward_rows, propagate, propagate_batch, propagate_trace
 from emn.topology import NetworkTopology, TopologyConfig, build_topology
 from oracles import reference_propagate
 
@@ -280,7 +280,7 @@ def test_one_row_fold_equals_rank_loop():
         [[], [], [0.5, 0.25], [1.0, -1.0, 0.5]],
         d=2, h=1, b=1,
     )
-    compiled = propagation._compile(t)
+    compiled = t.compiled
     o = np.zeros((t.node_count + 1, 1))
     for column in ([-0.0, -0.0, -0.0, -0.0], [1.0, -2.0, -0.0, 3.0]):
         o[:-1, 0] = column
@@ -293,7 +293,7 @@ def test_one_row_fold_equals_rank_loop():
 
 def test_tables_compiled_once_per_topology():
     t = build_topology(TopologyConfig(8, 4, 4, 3, seed=1))
-    assert t.compiled is None
+    assert "compiled" not in vars(t)
     propagate(t, np.ones(8), 3)
     compiled = t.compiled
     assert compiled is not None
@@ -326,6 +326,53 @@ def test_concurrent_first_propagation():
     assert not any(th.is_alive() for th in threads)
     for got in results:
         _assert_bitwise(got, expected)
+
+
+def test_forward_rows_counts_each_context_apart():
+    # Two threads propagate different row counts at the same time, each in
+    # its own scope, while the main thread propagates outside any scope.
+    t = build_topology(TopologyConfig(6, 4, 4, 3, seed=2))
+    X = np.ones((5, 6))
+    counts = {}
+    barrier = threading.Barrier(3, timeout=10)
+
+    def worker(rows):
+        with forward_rows() as counted:
+            barrier.wait()
+            for _ in range(40):
+                propagate_batch(t, X[:rows], 3)
+            barrier.wait()
+        counts[rows] = counted[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(r,)) for r in (2, 5)]
+        for th in threads:
+            th.start()
+        barrier.wait()
+        for _ in range(40):
+            propagate(t, X[0], 3)
+        barrier.wait()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert counts == {2: 80, 5: 200}
+
+
+def test_forward_rows_counts_every_path_once():
+    t = build_topology(TopologyConfig(20, 50, 50, 30, seed=3))
+    chunked = propagation._CHUNK_CELLS // (t.node_count + 1) + 1
+    with forward_rows() as outer:
+        propagate(t, np.ones(20), 3)
+        with forward_rows() as inner:
+            propagate_batch(t, np.ones((chunked, 20)), 3)
+            propagate_trace(t, np.ones(20), 3)
+    propagate(t, np.ones(20), 3)
+    assert inner == [chunked + 1]
+    assert outer == [chunked + 2]
 
 
 def test_positive_homogeneity_default_scale():

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from emn.dataio import load_model, save_model
 from emn.errors import ConfigError
+from emn.inference import build_model
 from emn.topology import NetworkTopology, TopologyConfig, build_topology
 
 
@@ -159,6 +162,44 @@ def test_edge_set_rule_admits_any_edges_within_bounds():
     weights = [[1.0], [], [-1.0, 0.5, 0.0], [1.0, -1.0]]
     t = _four_nodes(*_arrays(preds, weights))
     assert [p.tolist() for p in t.predecessors] == preds
+
+
+def _made(how, tmp_path):
+    if how == "built":
+        return build_topology(TopologyConfig(2, 1, 1, 2, seed=4))
+    if how == "loaded":
+        save_model(build_model(TopologyConfig(2, 1, 1, 2, seed=4), 2), tmp_path / "m.json")
+        return load_model(tmp_path / "m.json").topology
+    preds = [np.empty(0, dtype=np.int32)] * 2 + [np.array([0, 1]), np.array([1, 2])]
+    return _four_nodes(preds, [np.empty(0)] * 2 + [np.array([1.0, 0.5])] * 2)
+
+
+@pytest.mark.parametrize("how", ["built", "loaded", "hand-made"])
+def test_edges_are_read_only(how, tmp_path):
+    t = _made(how, tmp_path)
+    assert isinstance(t.predecessors, tuple) and isinstance(t.weights, tuple)
+    assert {p.dtype for p in t.predecessors} == {np.dtype(np.int64)}
+    assert {w.dtype for w in t.weights} == {np.dtype(np.float64)}
+    with pytest.raises(TypeError):
+        t.predecessors[3] = np.array([0, 1])
+    with pytest.raises(TypeError):
+        t.weights[3] = np.array([1.0, 1.0])
+    with pytest.raises(ValueError):
+        t.predecessors[3][0] = 3
+    with pytest.raises(ValueError):
+        t.weights[3][0] = 9.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.predecessors = ()
+
+
+def test_later_edits_of_the_callers_arrays_do_not_reach_the_topology():
+    preds, weights = _arrays([[], [], [0, 1], [1, 2]], [[], [], [1.0, -0.3], [0.3, -1.0]])
+    t = _four_nodes(preds, weights)
+    preds[3][0] = 9
+    weights[3][0] = 9.0
+    preds[2] = np.array([7])
+    assert [p.tolist() for p in t.predecessors] == [[], [], [0, 1], [1, 2]]
+    assert [w.tolist() for w in t.weights] == [[], [], [1.0, -0.3], [0.3, -1.0]]
 
 
 def test_bridging_sampling_roughly_uniform():
