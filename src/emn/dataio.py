@@ -1,7 +1,15 @@
 """Dataset formats, synthetic domain-shift generation, model documents.
 
 Formats:
-  - CSV datasets: header "f0,...,f{d-1}[,label]", UTF-8, LF endings.
+  - CSV datasets: header "f0,...,f{d-1}[,label]", UTF-8; lines split as
+    ``str.splitlines`` splits them, and empty lines are skipped. A feature
+    field is an ASCII decimal float as ``float()`` reads it (``1.5``,
+    ``-2e-3``, ``inf``, ``nan``; surrounding whitespace allowed), without
+    ``_`` digit separators or non-ASCII digits; a label is an ``int()``
+    literal within int64 that is also such a float. numpy's ``loadtxt``
+    parses every field with the routine ``float()`` uses, so values are
+    bit-identical to ``float()``'s. Any other line is a ``ParseError``
+    naming its 1-based line.
   - EMNF binary datasets: magic "EMNF", little-endian, version 1.
   - Model documents: JSON with a CRC-32 checksum over the canonical
     payload; floats round-trip at full 64-bit precision.
@@ -13,6 +21,7 @@ import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -30,13 +39,13 @@ from emn.errors import (
 )
 from emn.inference import EmnModel, check_finite_rows
 from emn.memory import HyperParams, MemoryStore, log_likelihood
-from emn.topology import NetworkTopology, TopologyConfig
+from emn.topology import NetworkTopology, TopologyConfig, split_views
 
 EMNF_MAGIC = b"EMNF"
 EMNF_VERSION = 1
 _EMNF_HEADER = struct.Struct("<HHIII")  # version, flags, rows, dim, class count
 MODEL_SCHEMA_VERSION = 1
-_INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass
@@ -100,26 +109,43 @@ def read_csv(path) -> FeatureDataset:
     dim = len(header) - (1 if has_label else 0)
     if dim < 1:
         raise ParseError(f"{path}: line 1: no feature columns in header")
-    features, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(parts)}"
-            )
-        try:
-            features.append([float(v) for v in parts[:dim]])
-            if has_label:
-                labels.append(int(parts[dim]))
-                if not _INT64.min <= labels[-1] <= _INT64.max:
-                    raise ValueError(f"label {parts[dim]!r} does not fit in 64 bits")
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    feats = np.array(features, dtype=np.float64).reshape(len(features), dim)
-    return FeatureDataset(feats, np.array(labels, dtype=np.int64) if has_label else None)
+    rows = [line for line in lines[1:] if line]
+    try:
+        features, labels = _csv_rows(rows, dim, has_label)
+    except (ValueError, OverflowError) as exc:
+        # Only now look for the first data line that fails on its own.
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            try:
+                _csv_rows([line], dim, has_label)
+            except (ValueError, OverflowError) as line_exc:
+                # The row loadtxt names is the one row of this call.
+                msg = str(line_exc).replace(" at row 0,", " in")
+                raise ParseError(f"{path}: line {lineno}: {msg}") from None
+        raise ParseError(f"{path}: {exc}") from None
+    return FeatureDataset(features, labels)
+
+
+def _csv_rows(rows: list[str], dim: int, has_label: bool):
+    """C-contiguous float64 features and int64 labels (None without a label
+    column) of non-empty data lines; ``ValueError`` or ``OverflowError`` when
+    a line is not ``dim + has_label`` fields of the grammar in the module
+    docstring."""
+    if not rows:  # loadtxt warns on empty input
+        return np.empty((0, dim)), np.empty(0, np.int64) if has_label else None
+    width = dim + has_label
+    if rows[0].count(",") != width - 1:
+        raise ValueError(f"expected {width} fields, got {rows[0].count(',') + 1}")
+    # loadtxt strips U+001F as whitespace; float() and int() refuse it.
+    if any("\x1f" in row for row in rows):
+        raise ValueError("U+001F in a field")
+    # Every column is parsed, so loadtxt refuses any later change of width.
+    table = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    if not has_label:
+        return table, None
+    labels = np.array([int(row.rpartition(",")[2]) for row in rows], dtype=np.int64)
+    return np.ascontiguousarray(table[:, :dim]), labels
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +352,19 @@ def _config(cls, values: dict, path):
 def _model_from_payload(payload: dict, path) -> EmnModel:
     tcfg = _config(TopologyConfig, payload["topology"]["config"], path)
     hyper = _config(HyperParams, payload["hyper"], path)
-    edges = payload["topology"]["edges"]
+    edges, weights = payload["topology"]["edges"], payload["topology"]["weights"]
+    ids = list(chain.from_iterable(edges))
     # JSON integers only: a cast would turn 0.5 or true into edge 0.
-    if not {type(e) for p in edges for e in p} <= {int}:
+    if not set(map(type, ids)) <= {int}:
         raise IntegrityError(f"{path}: edge ids must be JSON integers")
+    # One conversion per dtype; the topology copies the views once more.
     topology = NetworkTopology(
         tcfg,
-        [np.array(p, dtype=np.int64) for p in edges],
-        [np.array(w, dtype=np.float64) for w in payload["topology"]["weights"]],
+        split_views(np.array(ids, dtype=np.int64), [len(p) for p in edges]),
+        split_views(
+            np.array(list(chain.from_iterable(weights)), dtype=np.float64),
+            [len(w) for w in weights],
+        ),
     )
     class_count = payload["class_count"]
     if type(class_count) is not int or class_count < 1:

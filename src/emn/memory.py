@@ -224,9 +224,10 @@ def log_likelihood(hyper: HyperParams, mu, sigma, m_hat):
     """Class log likelihood of memory signals, ``offset - (m_hat - mu)**2 /
     scale``: blurred when fuzzy is on, else the plain density with sigma as
     the variance term, floored at the smallest positive normal so degenerate
-    (zero-spread) memories stay finite. Computed in place in one buffer of
-    the broadcast shape; a float for 0-d inputs."""
-    mu, sigma, m_hat = (np.asarray(a, dtype=np.float64) for a in (mu, sigma, m_hat))
+    (zero-spread) memories stay finite. Computed in place in the buffer that
+    ``m_hat - mu`` allocates, widened first only where sigma broadcasts
+    wider; a float for 0-d inputs."""
+    sigma = np.asarray(sigma, dtype=np.float64)
     if hyper.fuzzy_enabled:
         sigma1 = hyper.sigma1
         scale = 2.0 * sigma + sigma1
@@ -234,8 +235,11 @@ def log_likelihood(hyper: HyperParams, mu, sigma, m_hat):
     else:
         sigma = np.maximum(sigma, CONFIDENCE_FLOOR)
         offset, scale = -0.5 * (_LOG_2PI + np.log(sigma)), 2.0 * sigma
-    out = np.empty(np.broadcast(m_hat, mu, sigma).shape)
-    np.subtract(m_hat, mu, out)
+    out = np.subtract(m_hat, mu, dtype=np.float64)
+    if out.shape != sigma.shape or not out.ndim:
+        shape = np.broadcast(out, sigma).shape
+        if out.shape != shape or not out.ndim:  # sigma is wider, or 0-d values
+            out = np.full(shape, out)
     np.square(out, out)
     np.divide(out, scale, out)
     np.subtract(offset, out, out)

@@ -14,7 +14,8 @@ Edge-set rule, checked when a ``NetworkTopology`` is built (``ConfigError``):
 per node, one 1-D array of integer predecessor ids in [0, node_count) and
 an aligned array of finite weights in [-1, 1]. Any such edge set is valid,
 self-loops, repeats and predecessors of entrances included. The topology
-keeps read-only int64 and float64 copies, so the checked edges are final.
+keeps its edges as read-only views into one new int64 and one new float64
+buffer, so the checked edges are final.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ class TopologyConfig:
 class NetworkTopology:
     """Frozen, with read-only edges, so threads may share one topology.
 
-    ``predecessors`` and ``weights`` hold read-only copies of the per-node
-    edge arrays it was built from. ``compiled`` holds propagation's rank
-    tables, built on first use; racing first uses build equal tables.
+    ``predecessors`` and ``weights`` hold read-only per-node views into one
+    copy per dtype of the edge arrays it was built from. ``compiled`` holds
+    propagation's rank tables, built on first use; racing first uses build
+    equal tables.
     """
 
     config: TopologyConfig
@@ -82,14 +84,18 @@ class NetworkTopology:
                 raise ConfigError(f"node {i}: edges not integer ids aligned with weights")
             if p.size and (p.min() < 0 or p.max() >= n):
                 raise ConfigError(f"node {i}: edge id outside [0, {n})")
+        flat_weights = np.concatenate(weights)
         # NaN fails the test too.
-        if not (np.abs(np.concatenate(weights)) <= 1.0).all():
+        if not (np.abs(flat_weights) <= 1.0).all():
             raise ConfigError("edge weights must be finite and in [-1, 1]")
-        for name, dtype in (("predecessors", np.int64), ("weights", np.float64)):
-            copies = tuple(np.array(a, dtype=dtype) for a in getattr(self, name))
-            for a in copies:
-                a.flags.writeable = False
-            object.__setattr__(self, name, copies)
+        # One new read-only buffer per dtype, split into per-node views.
+        sizes = [p.size for p in preds]
+        for name, flat in (
+            ("predecessors", np.concatenate(preds, dtype=np.int64)),
+            ("weights", flat_weights.astype(np.float64, copy=False)),
+        ):
+            flat.flags.writeable = False
+            object.__setattr__(self, name, split_views(flat, sizes))
 
     @cached_property
     def compiled(self):
@@ -114,6 +120,12 @@ class NetworkTopology:
     @property
     def memory_node_count(self) -> int:
         return self.config.hub_count + self.config.bridging_count
+
+
+def split_views(flat: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, ...]:
+    """``flat`` cut into consecutive views of the given sizes."""
+    ends = np.cumsum(sizes, dtype=np.int64).tolist()
+    return tuple(flat[a:b] for a, b in zip([0, *ends], ends))
 
 
 def build_topology(cfg: TopologyConfig) -> NetworkTopology:

@@ -142,3 +142,30 @@ def reference_reinforced_update(store, signals, labels) -> None:
         else:
             divisor = float(rows.shape[0])
         _reference_ema(store, k, rows, e, divisor)
+
+
+def reference_read_csv(text: str):
+    """The CSV dataset grammar with ``float()`` and ``int()`` per field:
+    ``(features, labels)`` (labels None without a label column), or the
+    1-based number of the first bad line. ``float()`` also reads ``_``
+    separators and non-ASCII digits, which ``emn.dataio.read_csv`` refuses."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    has_label = header[-1] == "label"
+    dim = len(header) - has_label
+    features, labels = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != len(header):
+                raise ValueError("ragged")
+            features.append([float(v) for v in fields[:dim]])
+            if has_label:
+                labels.append(int(fields[dim]))
+                if not -(2**63) <= labels[-1] < 2**63:
+                    raise ValueError("beyond int64")
+        except ValueError:
+            return lineno
+    return features, labels if has_label else None

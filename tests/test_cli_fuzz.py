@@ -22,7 +22,10 @@ from emn.cli import build_parser, main
 DIM = 4
 EXIT_CODES = {0, 2, 3, 4}
 SPECIAL_FIELDS = ["nan", "NaN", "inf", "-inf", "Infinity", "1e300", "-1e300", "1e309"]
-ODD_FIELDS = ["", " ", "abc", "0x10", "1,5", "1e", "--1", "\x00", "1_0"]
+ODD_FIELDS = ["", " ", "abc", "0x10", "1,5", "1e", "--1", "\x00"]
+# Where float() and numpy's C reader disagree (a digit separator, non-ASCII
+# digits, U+001F) or meet at an edge (surrounding Unicode or ASCII spaces).
+READER_FIELDS = ["1_0", "\u0661", "\uff11", "\x1f1", "\u00a01.5", " 1.5 ", "1.5\u3000"]
 # Integers on either side of the 64-bit range, for the label column.
 BIG_FIELDS = [str(2**63 - 1), str(2**63), str(-(2**63) - 1), "9" * 30]
 
@@ -48,7 +51,7 @@ def workdir(tmp_path_factory):
 @st.composite
 def mutated_csv(draw, lines):
     """Bytes of a target CSV after one kind of mutation."""
-    kinds = ["bytes", "truncate", "columns", "field", "special", "number"]
+    kinds = ["bytes", "truncate", "columns", "field", "special", "number", "reader"]
     kind = draw(st.sampled_from(kinds))
     if kind == "bytes":
         return draw(st.binary(max_size=200))
@@ -66,6 +69,8 @@ def mutated_csv(draw, lines):
         if kind == "number":
             wide = st.integers(-(10**30), 10**30).map(str)
             field = st.one_of(st.sampled_from(BIG_FIELDS), wide, st.floats().map(repr))
+        elif kind == "reader":
+            field = st.sampled_from(READER_FIELDS)
         else:
             pool = SPECIAL_FIELDS if kind == "special" else ODD_FIELDS
             field = st.one_of(st.sampled_from(pool), st.text(max_size=8))

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from emn.dataio import (
     FeatureDataset,
@@ -36,6 +40,7 @@ from emn.inference import build_model, predict
 from emn.memory import supervised_update
 from emn.propagation import propagate_batch
 from emn.topology import NetworkTopology, TopologyConfig
+from oracles import reference_read_csv
 
 
 class TestCsv:
@@ -105,6 +110,184 @@ class TestCsv:
         ds = read_csv(path)
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("f0,f1\n1,2\n3,4\n\n5,6\n7,8,9\n", 6),  # ragged, after a blank
+            ("f0,f1\n1,2\n3,4\n5\n", 4),
+            ("f0,f1,label\n1,2,0\n3,4,1\n5,abc,0\n", 4),
+            ("f0,f1,label\n1,2,0\n\n\n3,,1\n", 5),
+            ("f0\n1\n2\nx\n", 4),
+        ],
+    )
+    def test_fault_after_line_two_names_its_own_line(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"line {lineno}:"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("blank", [" ", "\t", "  \t "])
+    @pytest.mark.parametrize("header", ["f0,f1,label", "f0"])
+    def test_whitespace_only_line_is_not_skipped(self, tmp_path, blank, header):
+        row = "1.5,2.5,0" if header.endswith("label") else "1.5"
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n{row}\n{blank}\n{row}\n")
+        with pytest.raises(ParseError, match="line 3:"):
+            read_csv(path)
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f0,f1,label\r\n1.5,-2.5,0\r\n\r\n3e-3,4,2\r\n")
+        ds = read_csv(path)
+        assert ds.features.tolist() == [[1.5, -2.5], [3e-3, 4.0]]
+        assert ds.labels.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("header, labeled", [("f0,f1,f2", False), ("f0,label", True)])
+    def test_header_only_file_has_zero_rows(self, tmp_path, header, labeled):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n\n")
+        ds = read_csv(path)
+        dim = len(header.split(",")) - labeled
+        assert ds.features.shape == (0, dim) and ds.features.dtype == np.float64
+        if labeled:
+            assert ds.labels.shape == (0,) and ds.labels.dtype == np.int64
+        else:
+            assert ds.labels is None
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_one_column_file(self, tmp_path, labeled):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n1.5,3\n-2,0\n" if labeled else "f0\n1.5\n-2\n")
+        ds = read_csv(path)
+        assert ds.features.tolist() == [[1.5], [-2.0]]
+        if labeled:
+            assert ds.labels.tolist() == [3, 0]
+        else:
+            assert ds.labels is None
+
+    def test_features_are_c_contiguous_float64(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,f2,label\n1,2,3,0\n4,5,6,1\n")
+        features = read_csv(path).features
+        assert features.dtype == np.float64 and features.flags.c_contiguous
+
+    @pytest.mark.parametrize("label", ["1.0", "1e0", "0x1", " "])
+    def test_label_that_is_not_an_int_literal_is_refused(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(ParseError, match="line 3:"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11", "1\x1f", "\x1f1"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_fields_float_reads_but_the_grammar_refuses(self, tmp_path, field, column):
+        row = ["1.0", "2.0", "1"]
+        row[column] = field
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n{','.join(row)}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3:"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("field", [" 1.5 ", "\u00a01.5", "1.5\u3000", "\t+1.5"])
+    def test_surrounding_whitespace_reads_as_float_reads_it(self, tmp_path, field):
+        path = tmp_path / "d.csv"
+        label = field.replace("1.5", "7")
+        path.write_text(f"f0,label\n{field},{label}\n", encoding="utf-8")
+        ds = read_csv(path)
+        assert ds.features.tolist() == [[1.5]] and ds.labels.tolist() == [7]
+
+
+FINITE_BITS = st.integers(0, 2**64 - 1).filter(
+    lambda b: (b >> 52) & 0x7FF != 0x7FF  # exponent not all ones: finite
+)
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 5)),
+    data=st.data(),
+)
+@example(shape=(1, len(EDGE_VALUES)), data=None)
+def test_csv_round_trip_is_bit_exact(shape, data):
+    n, dim = shape
+    if data is None:
+        features = np.array([EDGE_VALUES])
+        labels = np.array([-(2**63)])
+    else:
+        bits = data.draw(st.lists(FINITE_BITS, min_size=n * dim, max_size=n * dim))
+        features = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, dim)
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, dim - 1))
+        for i, j in data.draw(st.lists(cells)):
+            features[i, j] = data.draw(st.sampled_from(EDGE_VALUES))
+        int64 = st.integers(-(2**63), 2**63 - 1)
+        labels = np.array(data.draw(st.lists(int64, min_size=n, max_size=n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        write_csv(FeatureDataset(features, labels), path)
+        back = read_csv(path)
+    assert back.features.tobytes() == features.tobytes()
+    assert back.labels.tolist() == labels.tolist()
+
+
+# Fragments of fields: numbers, the spaces float() strips, and the
+# characters where float() and numpy's C reader part ways.
+FRAGMENTS = ["0", "7", "1.5", "-", "+", ".", "e", "e-3", "inf", "nan", "9" * 20, "_",
+             " ", "\t", "\u00a0", "\u3000", "\x1f", "\u0661", "\uff11", "x", ""]
+BREAKS = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b"]
+
+
+@st.composite
+def csv_texts(draw):
+    dim, labeled = draw(st.integers(1, 3)), draw(st.booleans())
+    width = dim + labeled
+    field = st.lists(st.sampled_from(FRAGMENTS), max_size=3).map("".join)
+    good = st.one_of(st.integers(-5, 5).map(str), st.floats(allow_nan=False).map(repr))
+    row = st.lists(st.one_of(good, field), min_size=width - 1, max_size=width + 1)
+    lines = [",".join(draw(row)) for _ in range(draw(st.integers(0, 4)))]
+    header = ",".join([f"f{i}" for i in range(dim)] + ["label"] * labeled)
+    text = header
+    for line in lines:
+        text += draw(st.sampled_from(BREAKS)) + line
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=csv_texts())
+def test_read_csv_agrees_with_the_per_field_reference(text):
+    """Same bits, labels and failing line as ``float()`` and ``int()`` per
+    field; where the text holds ``_`` or a non-ASCII digit, a ``ParseError``
+    no later than the reference's bad line may stand in for its outcome."""
+    narrowed = "_" in text or "\u0661" in text or "\uff11" in text
+    want = reference_read_csv(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            got = read_csv(path)
+        except ParseError as exc:
+            lineno = int(str(exc).split(": line ")[1].split(":")[0])
+            if narrowed:
+                assert isinstance(want, tuple) or lineno <= want
+            else:
+                assert lineno == want
+            return
+        except NonFiniteError:
+            got = None
+    assert isinstance(want, tuple)
+    features, labels = want
+    dim = len(text.splitlines()[0].split(",")) - (labels is not None)
+    try:
+        expected = FeatureDataset(np.array(features).reshape(len(features), dim), labels)
+    except NonFiniteError:
+        assert got is None
+        return
+    assert got.features.tobytes() == expected.features.tobytes()
+    assert got.features.flags.c_contiguous
+    assert (got.labels is None) == (labels is None)
+    if labels is not None:
+        assert got.labels.tolist() == labels
 
 
 class TestEmnf:
