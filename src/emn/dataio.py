@@ -10,9 +10,13 @@ Formats:
     parses every field with the routine ``float()`` uses, so values are
     bit-identical to ``float()``'s. Any other line is a ``ParseError``
     naming its 1-based line.
-  - EMNF binary datasets: magic "EMNF", little-endian, version 1.
-  - Model documents: JSON with a CRC-32 checksum over the canonical
-    payload; floats round-trip at full 64-bit precision.
+  - EMNF binary datasets: magic "EMNF", little-endian, version 1. Flag
+    bit 0 marks labels and no other bit is defined; the payload is exactly
+    the size the header declares.
+  - Model documents: strict JSON (no ``NaN`` or ``Infinity``) with a CRC-32
+    checksum over the canonical payload; floats round-trip at full 64-bit
+    precision. Schema 2 is written; schema 1, which held the batch divisor
+    as two flags, is read through ``_schema1_hyper``.
 """
 
 from __future__ import annotations
@@ -32,19 +36,21 @@ from emn.errors import (
     LabelRangeError,
     MagicError,
     MissingLabelsError,
+    NonFiniteError,
     ParseError,
     SchemaVersionError,
     TruncationError,
     VersionError,
 )
 from emn.inference import EmnModel, check_finite_rows
-from emn.memory import HyperParams, MemoryStore, log_likelihood
+from emn.memory import MAX_CLASSES, HyperParams, MemoryStore, log_likelihood
 from emn.topology import NetworkTopology, TopologyConfig, split_views
 
 EMNF_MAGIC = b"EMNF"
 EMNF_VERSION = 1
 _EMNF_HEADER = struct.Struct("<HHIII")  # version, flags, rows, dim, class count
-MODEL_SCHEMA_VERSION = 1
+_EMNF_LABELED = 1  # the one defined flag bit
+MODEL_SCHEMA_VERSION = 2
 _INT32 = np.iinfo(np.int32)
 
 
@@ -77,6 +83,8 @@ class FeatureDataset:
             raise MissingLabelsError("training requires labeled rows")
         if self.labels.min() < 0:
             raise LabelRangeError("labels must be non-negative")
+        if self.labels.max() >= MAX_CLASSES:
+            raise LabelRangeError(f"labels must be below {MAX_CLASSES} (MAX_CLASSES)")
         return int(self.labels.max()) + 1
 
 
@@ -189,16 +197,19 @@ def read_emnf(path) -> FeatureDataset:
         )
         if version != EMNF_VERSION:
             raise VersionError(f"unsupported EMNF version {version}")
+        if flags & ~_EMNF_LABELED:
+            raise VersionError(f"unsupported EMNF flags {flags:#x}")
         # Read what the file holds, never what the untrusted header claims.
         payload = f.read()
-    size = 8 * n * dim + (4 * n if flags & 1 else 0)
-    if len(payload) < size:
+    labeled = bool(flags & _EMNF_LABELED)
+    size = 8 * n * dim + (4 * n if labeled else 0)
+    if len(payload) != size:
         raise TruncationError(
             f"header declares {size} payload bytes, the file holds {len(payload)}"
         )
     feats = np.frombuffer(payload, dtype="<f8", count=n * dim).reshape(n, dim)
     labels = None
-    if flags & 1:
+    if labeled:
         labels = np.frombuffer(payload, "<i4", count=n, offset=8 * n * dim)
         labels = labels.astype(np.int64)
     return FeatureDataset(feats.astype(np.float64), labels)
@@ -304,23 +315,32 @@ def _canonical(payload: dict) -> str:
 
 
 def save_model(model: EmnModel, path) -> None:
+    """Write a model document; ``NonFiniteError`` before the file is opened
+    when a value has no strict JSON form (NaN or infinite memory)."""
     payload = _model_payload(model)
     checksum = zlib.crc32(_canonical(payload).encode("utf-8"))
     doc = {"payload": payload, "crc32": checksum}
     # One dumps call: json.dump streams through the pure-Python encoder.
-    text = json.dumps(doc) + "\n"
+    try:
+        text = json.dumps(doc, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFiniteError(f"{path}: model holds a NaN or infinite value") from None
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def load_model(path) -> EmnModel:
-    """Read a model document. Any document that is not a checksummed,
-    well-formed model raises a model error: ``IntegrityError`` or
-    ``SchemaVersionError``."""
+    """Read a model document of schema 1 or 2. Any document that is not a
+    checksummed, well-formed model raises a model error: ``IntegrityError``
+    or ``SchemaVersionError``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except ValueError as exc:  # not UTF-8, or not JSON
+            doc = json.load(f, parse_constant=_refuse_constant)
+    except ValueError as exc:  # not UTF-8, not JSON, or not strict JSON
         raise IntegrityError(f"{path}: not a model document: {exc}") from None
     payload = doc.get("payload") if isinstance(doc, dict) else None
     if not isinstance(payload, dict):
@@ -328,9 +348,11 @@ def load_model(path) -> EmnModel:
     if zlib.crc32(_canonical(payload).encode("utf-8")) != doc.get("crc32"):
         raise IntegrityError(f"{path}: checksum mismatch")
     version = payload.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
+    if type(version) is not int or version not in (1, MODEL_SCHEMA_VERSION):
         raise SchemaVersionError(f"{path}: unknown schema version {version}")
     try:
+        if version == 1:
+            payload = {**payload, "hyper": _schema1_hyper(payload["hyper"], path)}
         return _model_from_payload(payload, path)
     except KeyError as exc:
         raise IntegrityError(f"{path}: missing key {exc}") from None
@@ -342,11 +364,34 @@ def _config(cls, values: dict, path):
     """``cls(**values)``, each value a JSON value of its field's type (an
     integer may stand for a float); annotations are postponed, so a field's
     type is its name."""
-    allowed = {"int": (int,), "float": (int, float), "bool": (bool,)}
+    allowed = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
     for f in fields(cls):
         if f.name in values and type(values[f.name]) not in allowed[f.type]:
             raise IntegrityError(f"{path}: {f.name} must be a JSON {f.type}")
     return cls(**values)
+
+
+def _schema1_hyper(hyper: dict, path) -> dict:
+    """A schema-1 ``hyper`` in schema-2 terms. Its two divisor flags (each
+    false when absent) become one ``batch_divisor``: ``confidence_normalized``
+    wins, as the schema-1 update rule let it, then ``literal_batch_divisor``;
+    neither set is ``class``."""
+    if "batch_divisor" in hyper:
+        raise IntegrityError(f"{path}: batch_divisor is not a schema 1 field")
+    hyper = dict(hyper)
+    flags = {
+        name: hyper.pop(name, False)
+        for name in ("confidence_normalized", "literal_batch_divisor")
+    }
+    for name, value in flags.items():
+        if type(value) is not bool:
+            raise IntegrityError(f"{path}: {name} must be a JSON bool")
+    hyper["batch_divisor"] = (
+        "confidence" if flags["confidence_normalized"]
+        else "batch" if flags["literal_batch_divisor"]
+        else "class"
+    )
+    return hyper
 
 
 def _model_from_payload(payload: dict, path) -> EmnModel:

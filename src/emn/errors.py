@@ -53,7 +53,8 @@ class ParseError(EmnError):
 
 
 class NonFiniteError(EmnError):
-    """A feature value is NaN or infinite; message names the first bad row."""
+    """A feature value is NaN or infinite (the message names the first bad
+    row), or a model to be saved holds one."""
     exit_code = 3
 
 
@@ -63,12 +64,13 @@ class MagicError(EmnError):
 
 
 class VersionError(EmnError):
-    """Binary file carries an unsupported format version."""
+    """Binary file carries an unsupported format version or flag bits."""
     exit_code = 3
 
 
 class TruncationError(EmnError):
-    """Binary file ended before the declared payload was read."""
+    """Binary file's payload is not the size its header declares: the file
+    ends early, or holds bytes past the declared payload."""
     exit_code = 3
 
 

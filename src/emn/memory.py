@@ -11,13 +11,14 @@ statement of the class log likelihood, used by ``store_log_likelihoods``
 ``supervised_update`` and ``reinforced_update`` (driven by the epoch loop
 of ``emn.adaptation``) share one batch EMA with temperature
 ``HyperParams.beta``: supervised rows weigh 1, reinforced rows their
-confidence. The first update of a (node, class) pair takes the batch
-statistics as they are. Both run through one loop over shuffled batches
-of ``HyperParams.batch_size`` rows, and each batch is one update for all
-its classes: ``_ClassBlocks`` sorts it stably by label, the arithmetic
-runs over the whole batch, and only the per-class column sums are taken
-block by block, in the order and on the block shape of a loop over
-classes (the reference in ``tests/oracles.py``).
+confidence, and ``HyperParams.batch_divisor`` names what a reinforced
+class's sums are divided by. The first update of a (node, class) pair
+takes the batch statistics as they are. Both run through one loop over
+shuffled batches of ``HyperParams.batch_size`` rows, and each batch is one
+update for all its classes: ``_ClassBlocks`` sorts it stably by label, the
+arithmetic runs over the whole batch, and only the per-class column sums
+are taken block by block, in the order and on the block shape of a loop
+over classes (the reference in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from emn.errors import (
 
 CONFIDENCE_FLOOR = float(np.finfo(np.float64).tiny)
 MAX_ROUNDS = 1000  # bounds the work a model document can ask of propagation
+MAX_CLASSES = 1 << 16  # bounds the memory a class count can ask of init_memory
+# What a reinforced class's weighted sums are divided by: its row count in
+# the batch, the batch's row count, or its summed confidence.
+BATCH_DIVISORS = ("class", "batch", "confidence")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -47,18 +52,25 @@ class HyperParams:
     rounds: int = 3
     fuzzy_enabled: bool = True
     confidence_enabled: bool = True
-    confidence_normalized: bool = False
-    literal_batch_divisor: bool = False
+    batch_divisor: str = "class"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
-        if self.fuzzy_enabled and not 0.0 < self.sigma1 < np.inf:
-            raise ConfigError(f"sigma1 must be positive and finite, got {self.sigma1}")
+        # Only the blurred density reads sigma1, but every document holds it.
+        if not -np.inf < self.sigma1 < np.inf:
+            raise ConfigError(f"sigma1 must be finite, got {self.sigma1}")
+        if self.fuzzy_enabled and not self.sigma1 > 0.0:
+            raise ConfigError(f"sigma1 must be positive with fuzzy on, got {self.sigma1}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if not 1 <= self.rounds <= MAX_ROUNDS:
             raise ConfigError(f"rounds must be in [1, {MAX_ROUNDS}], got {self.rounds}")
+        if self.batch_divisor not in BATCH_DIVISORS:
+            raise ConfigError(
+                f"batch_divisor must be one of {', '.join(BATCH_DIVISORS)}, "
+                f"got {self.batch_divisor!r}"
+            )
 
 
 @dataclass
@@ -99,8 +111,8 @@ def init_memory(
 ) -> MemoryStore:
     if node_count < 1:
         raise ConfigError(f"node_count must be >= 1, got {node_count}")
-    if class_count < 1:
-        raise ConfigError(f"class_count must be >= 1, got {class_count}")
+    if not 1 <= class_count <= MAX_CLASSES:
+        raise ConfigError(f"class_count must be in [1, {MAX_CLASSES}], got {class_count}")
     hyper = hyper or HyperParams()
     shape = (node_count, class_count)
     return MemoryStore(
@@ -184,7 +196,8 @@ def reinforced_update(store: MemoryStore, signals, pseudo_labels) -> None:
 
     Per node and per pseudo class, each sample contributes with weight
     equal to the likelihood of its memory signal under that class (1 when
-    confidence weighting is disabled). Only (node, pseudo-class) pairs
+    confidence weighting is disabled), and the sums are divided as
+    ``HyperParams.batch_divisor`` names. Only (node, pseudo-class) pairs
     present in the batch are touched; every class updates in one pass.
     """
     if not store.fully_initialized:
@@ -201,9 +214,9 @@ def reinforced_update(store: MemoryStore, signals, pseudo_labels) -> None:
     else:
         e = np.ones_like(blocks.rows)
 
-    if hyper.confidence_normalized:
+    if hyper.batch_divisor == "confidence":
         divisor = blocks.sums(e)  # 0 when no row carries confidence
-    elif hyper.literal_batch_divisor:
+    elif hyper.batch_divisor == "batch":
         divisor = float(signals.shape[0])
     else:
         divisor = blocks.counts[:, None]

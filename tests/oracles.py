@@ -127,7 +127,7 @@ def reference_supervised_update(store, signals, labels) -> None:
 
 def reference_reinforced_update(store, signals, labels) -> None:
     """One pseudo class at a time: each row weighs its likelihood under the
-    class (1 with confidence off), divided per the store's divisor flags."""
+    class (1 with confidence off), divided per the store's batch divisor."""
     hyper = store.hyper
     for k in np.unique(labels):
         rows = signals[labels == k]
@@ -135,9 +135,9 @@ def reference_reinforced_update(store, signals, labels) -> None:
             e = np.exp(reference_log_likelihoods(store, rows)[:, :, k])
         else:
             e = np.ones_like(rows)
-        if hyper.confidence_normalized:
+        if hyper.batch_divisor == "confidence":
             divisor = e.sum(axis=0)
-        elif hyper.literal_batch_divisor:
+        elif hyper.batch_divisor == "batch":
             divisor = float(signals.shape[0])
         else:
             divisor = float(rows.shape[0])

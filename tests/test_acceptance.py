@@ -221,10 +221,10 @@ def test_07_synthetic_domain_adaptation_improves():
 
 
 def test_08_memory_drift_toward_target_distribution():
-    # Uses the documented confidence_normalized divisor: the verbatim
-    # batch divisor shrinks mu systematically (confidence <= 0.5) and can
-    # never approach the full-scale target-supervised parameters.
-    hyper = HyperParams(confidence_normalized=True)
+    # Uses the documented "confidence" divisor: the verbatim batch divisor
+    # shrinks mu systematically (confidence <= 0.5) and can never approach
+    # the full-scale target-supervised parameters.
+    hyper = HyperParams(batch_divisor="confidence")
     model, src, tgt = _pipeline(42, hyper)
     mu_start = model.store.mu.copy()
 

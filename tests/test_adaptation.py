@@ -86,10 +86,10 @@ class TestReinforcedUpdate:
         with pytest.raises(NotTrainedError):
             reinforced_update(store, np.zeros((1, 2)), np.array([0]))
 
-    def test_literal_batch_divisor(self):
-        # one labeled sample in a batch of 2: literal divisor uses B=2
+    def test_batch_divisor(self):
+        # one labeled sample in a batch of 2: the "batch" divisor uses B=2
         lit = _full_store(nodes=1, classes=2, confidence_enabled=False,
-                          literal_batch_divisor=True)
+                          batch_divisor="batch")
         per = _full_store(nodes=1, classes=2, confidence_enabled=False)
         signals = np.array([[2.0], [4.0]])
         labels = np.array([0, 1])

@@ -367,6 +367,54 @@ def test_train_on_all_negative_labels_is_a_data_error(tmp_path, capsys):
     assert "non-negative" in err
 
 
+def test_train_on_a_label_of_max_classes_or_more_is_a_data_error(tmp_path, capsys):
+    src = tmp_path / "big.csv"
+    src.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,4.0,{2**63 - 1}\n")
+    code, _, err = _run(
+        capsys, "train", "--source", str(src), "--model", str(tmp_path / "m.json"),
+    )
+    assert code == 3
+    assert "below 65536" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_with_classes_beyond_the_cap_is_a_config_error(task_files, tmp_path, capsys):
+    src, _ = task_files
+    code, _, err = _run(
+        capsys, "train", "--source", str(src), "--model", str(tmp_path / "m.json"),
+        "--classes", "65537",
+    )
+    assert code == 2
+    assert "class_count" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_with_non_finite_sigma1_is_a_config_error(task_files, tmp_path, capsys, value):
+    # sigma1 is saved even with fuzzy off, and a document is strict JSON.
+    src, _ = task_files
+    code, _, err = _run(
+        capsys, "train", "--source", str(src), "--model", str(tmp_path / "m.json"),
+        "--no-fuzzy", "--sigma1", value,
+    )
+    assert code == 2
+    assert "sigma1" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_whose_memory_overflows_writes_no_model(tmp_path, capsys):
+    # Rows of 1e307 are finite, but their memory sums overflow to inf.
+    src = tmp_path / "huge.csv"
+    src.write_text("f0,f1,label\n" + "1e307,1e307,0\n-1e307,1e307,1\n" * 8)
+    code, _, err = _run(
+        capsys, "train", "--source", str(src), "--model", str(tmp_path / "m.json"),
+    )
+    assert code == 3
+    assert "NaN or infinite" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("value", ["ture", "maybe", ""])
 def test_config_boolean_typo_is_a_config_error(task_files, tmp_path, capsys, value):
     src, _ = task_files

@@ -1,9 +1,11 @@
 """Property tests of the CLI exit codes on mutated input.
 
-Whatever text ``emn predict`` and ``emn eval`` are given as a CSV dataset,
-and whatever model document or EMNF dataset ``emn predict`` is given, they
-exit with 0, 2, 3 or 4 and print no traceback. So does every subcommand
-with any of its integer options at -1 or 0.
+Whatever text ``emn predict``, ``eval``, ``train`` and ``adapt`` are given
+as a CSV dataset, and whatever model document or EMNF dataset ``emn
+predict`` is given, they exit with 0, 2, 3 or 4 and print no traceback;
+``train`` and ``adapt`` write a document ``load_model`` reads when they exit
+0, and none otherwise. So does every subcommand with any of its integer
+options at -1 or 0.
 """
 
 import argparse
@@ -18,8 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from emn.cli import build_parser, main
+from emn.dataio import load_model
 
 DIM = 4
+NET = ["--hub", "4", "--bridging", "4", "--in-degree", "3"]
 EXIT_CODES = {0, 2, 3, 4}
 SPECIAL_FIELDS = ["nan", "NaN", "inf", "-inf", "Infinity", "1e300", "-1e300", "1e309"]
 ODD_FIELDS = ["", " ", "abc", "0x10", "1,5", "1e", "--1", "\x00"]
@@ -42,8 +46,7 @@ def workdir(tmp_path_factory):
     ) == 0
     model = root / "model.json"
     assert main(
-        ["train", "--source", str(src), "--model", str(model),
-         "--hub", "4", "--bridging", "4", "--in-degree", "3", "--seed", "1"]
+        ["train", "--source", str(src), "--model", str(model), *NET, "--seed", "1"]
     ) == 0
     return root, model, tgt.read_text(encoding="utf-8").splitlines()
 
@@ -80,7 +83,15 @@ def mutated_csv(draw, lines):
     )
 
 
-@pytest.mark.parametrize("command", ["predict", "eval"])
+def _csv_argv(command, model, csv, out):
+    """``command`` on the CSV ``csv``; ``train`` and ``adapt`` write ``out``."""
+    if command == "train":
+        return ["train", "--source", str(csv), "--model", str(out), *NET]
+    argv = [command, "--model", str(model), "--target", str(csv)]
+    return argv + ["--out", str(out), "--epochs", "2"] if command == "adapt" else argv
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "train", "adapt"])
 @settings(
     max_examples=100,
     derandomize=True,
@@ -90,23 +101,29 @@ def mutated_csv(draw, lines):
 @given(data=st.data())
 def test_mutated_csv_gives_a_documented_exit_code(workdir, capsys, command, data):
     root, model, lines = workdir
-    target = root / "mutated.csv"
+    target, out = root / "mutated.csv", root / "written.json"
     target.write_bytes(data.draw(mutated_csv(lines)))
+    out.unlink(missing_ok=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        code = main([command, "--model", str(model), "--target", str(target)])
+        code = main(_csv_argv(command, model, target, out))
     err = capsys.readouterr().err
     assert code in EXIT_CODES
     assert "Traceback" not in err
     if code:
         assert err.startswith("error: ")
+    if command in ("train", "adapt"):
+        if code:
+            assert not out.exists()
+        else:
+            load_model(out)
 
 
 # ---------------------------------------------------------------------------
 # Mutated model documents and EMNF datasets, fed to ``emn predict``
 
 
-def _run_predict(capsys, model, target):
+def _run_predict(capsys, model, target) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         code = main(["predict", "--model", str(model), "--target", str(target)])
@@ -115,6 +132,7 @@ def _run_predict(capsys, model, target):
     assert "Traceback" not in err
     if code:
         assert err.startswith("error: ")
+    return code
 
 
 def _near(value):
@@ -179,7 +197,8 @@ def test_mutated_model_document_gives_a_documented_exit_code(workdir, capsys, da
 
 @st.composite
 def mutated_emnf(draw, features, labels):
-    """EMNF bytes with a changed header field or a changed payload."""
+    """The kind of mutation and the EMNF bytes with a changed header field
+    or a changed payload."""
     n, dim = features.shape
     header = {"version": 1, "flags": 1, "n": n, "dim": dim, "classes": 3}
     payload = features.astype("<f8").tobytes() + labels.astype("<i4").tobytes()
@@ -204,7 +223,7 @@ def mutated_emnf(draw, features, labels):
         else:
             cell = draw(st.binary(min_size=8, max_size=8))
         payload = payload[:at] + cell + payload[at + 8 :]
-    return b"EMNF" + struct.pack("<HHIII", *header.values()) + payload
+    return kind, b"EMNF" + struct.pack("<HHIII", *header.values()) + payload
 
 
 @settings(
@@ -220,8 +239,11 @@ def test_mutated_emnf_gives_a_documented_exit_code(workdir, capsys, data):
     features = np.array([[float(v) for v in row[:DIM]] for row in rows])
     labels = np.array([int(row[DIM]) for row in rows])
     target = root / "mutated.emnf"
-    target.write_bytes(data.draw(mutated_emnf(features, labels)))
-    _run_predict(capsys, model, target)
+    kind, raw = data.draw(mutated_emnf(features, labels))
+    target.write_bytes(raw)
+    code = _run_predict(capsys, model, target)
+    if kind == "append":  # bytes past the declared payload
+        assert code == 3
 
 
 # ---------------------------------------------------------------------------

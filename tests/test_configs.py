@@ -22,6 +22,7 @@ CASES = [
     (HyperParams, {}, {"batch_size": 0}, ConfigError),
     (HyperParams, {}, {"rounds": 0}, ConfigError),
     (HyperParams, {}, {"rounds": MAX_ROUNDS + 1}, ConfigError),
+    (HyperParams, {}, {"batch_divisor": "x"}, ConfigError),
     (TopologyConfig, {"feature_dim": 4}, {"feature_dim": 0}, ConfigError),
     (TopologyConfig, {"feature_dim": 4}, {"hub_count": 0}, ConfigError),
     (TopologyConfig, {"feature_dim": 4}, {"bridging_count": -1}, ConfigError),
@@ -61,3 +62,12 @@ def test_sigma1_is_free_when_fuzzy_is_off():
     hyper = HyperParams(fuzzy_enabled=False, sigma1=0.0)
     with pytest.raises(ConfigError):
         dataclasses.replace(hyper, fuzzy_enabled=True)
+
+
+@pytest.mark.parametrize("sigma1", [float("nan"), float("inf"), float("-inf")])
+def test_sigma1_is_finite_even_when_fuzzy_is_off(sigma1):
+    # A model document holds sigma1 whatever fuzzy says, as strict JSON.
+    with pytest.raises(ConfigError):
+        HyperParams(fuzzy_enabled=False, sigma1=sigma1)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(HyperParams(fuzzy_enabled=False), sigma1=sigma1)

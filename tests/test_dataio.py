@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from emn.adaptation import AdaptationConfig, adapt
 from emn.dataio import (
     FeatureDataset,
     SynthConfig,
@@ -37,7 +38,7 @@ from emn.errors import (
     VersionError,
 )
 from emn.inference import build_model, predict
-from emn.memory import supervised_update
+from emn.memory import MAX_CLASSES, supervised_update
 from emn.propagation import propagate_batch
 from emn.topology import NetworkTopology, TopologyConfig
 from oracles import reference_read_csv
@@ -395,6 +396,49 @@ class TestEmnf:
         with pytest.raises(TruncationError):
             read_emnf(path)
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_header_declaring_fewer_rows_than_the_file_holds(self, tmp_path, labeled):
+        # 4 rows of 3 features, declared as 1: 24 (+ 4 label) bytes.
+        ds = FeatureDataset(np.ones((4, 3)), np.zeros(4) if labeled else None)
+        path = tmp_path / "d.emnf"
+        write_emnf(ds, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        declared, held = (28, 112) if labeled else (24, 96)
+        with pytest.raises(
+            TruncationError,
+            match=f"declares {declared} payload bytes, the file holds {held}",
+        ):
+            read_emnf(path)
+
+    def test_trailing_byte_is_refused(self, tmp_path):
+        path = tmp_path / "d.emnf"
+        write_emnf(FeatureDataset(np.ones((2, 2)), np.zeros(2)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(TruncationError, match="declares 40 .* holds 41"):
+            read_emnf(path)
+
+    def test_labeled_file_read_as_unlabeled_is_refused(self, tmp_path):
+        # Clearing flag bit 0 leaves the 4-byte labels past the payload.
+        path = tmp_path / "d.emnf"
+        write_emnf(FeatureDataset(np.ones((4, 3)), np.zeros(4)), path)
+        raw = bytearray(path.read_bytes())
+        raw[6:8] = struct.pack("<H", 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncationError, match="declares 96 .* holds 112"):
+            read_emnf(path)
+
+    @pytest.mark.parametrize("flags", [0x2, 0x3, 0x7, 0x8000])
+    def test_unknown_flag_bits_are_refused(self, tmp_path, flags):
+        path = tmp_path / "d.emnf"
+        write_emnf(FeatureDataset(np.ones((4, 3)), np.zeros(4)), path)
+        raw = bytearray(path.read_bytes())
+        raw[6:8] = struct.pack("<H", flags)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VersionError, match=f"flags {flags:#x}"):
+            read_emnf(path)
+
 
 class TestSynth:
     def test_counts_and_determinism(self):
@@ -574,6 +618,9 @@ STRUCTURE_FAULTS = {
     "weight beyond 1": _set_weight(1.5),
     "rounds beyond the cap": lambda p: p["hyper"].update(rounds=10**9),
     "sigma too large to score": lambda p: p["memory"]["sigma"][0].__setitem__(0, 1e308),
+    "batch divisor unknown": lambda p: p["hyper"].update(batch_divisor="x"),
+    "batch divisor not a string": lambda p: p["hyper"].update(batch_divisor=1),
+    "schema 1 divisor flag": lambda p: p["hyper"].update(confidence_normalized=True),
 }
 
 
@@ -594,6 +641,106 @@ def test_non_document_is_an_integrity_error(tmp_path, data):
     path = tmp_path / "model.json"
     path.write_bytes(data)
     with pytest.raises(IntegrityError):
+        load_model(path)
+
+
+def test_schema_version_must_be_a_json_integer(tmp_path):
+    path = tmp_path / "model.json"
+    for version in (True, 2.0, "2"):
+        save_model(_trained_model(), path)
+        _resave(path, lambda p: p.update(schema_version=version))
+        with pytest.raises(SchemaVersionError):
+            load_model(path)
+
+
+def _schema1(flags: dict):
+    """A payload mutation that rewrites a schema-2 payload as schema 1 with
+    ``flags`` as its divisor flags."""
+
+    def mutate(payload):
+        payload["schema_version"] = 1
+        del payload["hyper"]["batch_divisor"]
+        payload["hyper"].update(flags)
+
+    return mutate
+
+
+def _flags(normalized, literal):
+    return {"confidence_normalized": normalized, "literal_batch_divisor": literal}
+
+
+# Schema-1 divisor flags (an absent one is false) and the divisor they map to.
+SCHEMA1_FLAGS = [
+    (_flags(False, False), "class"),
+    (_flags(False, True), "batch"),
+    (_flags(True, False), "confidence"),
+    (_flags(True, True), "confidence"),
+    ({}, "class"),
+    ({"literal_batch_divisor": True}, "batch"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, divisor", SCHEMA1_FLAGS,
+    ids=["n0-l0", "n0-l1", "n1-l0", "n1-l1", "absent", "l1-only"],
+)
+def test_schema1_document_adapts_like_schema2_with_its_divisor(tmp_path, flags, divisor):
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    for path in (v1, v2):
+        save_model(_trained_model(seed=5), path)
+    _resave(v1, _schema1(flags))
+    _resave(v2, lambda p: p["hyper"].update(batch_divisor=divisor))
+    old, new = load_model(v1), load_model(v2)
+    assert old.hyper == old.store.hyper == new.hyper
+    assert old.hyper.batch_divisor == divisor
+    X = np.random.default_rng(6).normal(size=(60, 5)) + 0.5
+    for model in (old, new):
+        adapt(model, X, AdaptationConfig(epochs=2, shuffle_seed=7))
+    assert np.array_equal(old.store.mu, new.store.mu)
+    assert np.array_equal(old.store.sigma, new.store.sigma)
+    # Re-saved, the schema-1 model is the schema-2 document, byte for byte.
+    save_model(old, v1)
+    save_model(new, v2)
+    assert v1.read_bytes() == v2.read_bytes()
+    assert json.loads(v1.read_text())["payload"]["schema_version"] == 2
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None, [True]])
+@pytest.mark.parametrize("name", ["confidence_normalized", "literal_batch_divisor"])
+def test_schema1_divisor_flag_must_be_a_json_bool(tmp_path, name, value):
+    path = tmp_path / "model.json"
+    save_model(_trained_model(), path)
+    _resave(path, _schema1({name: value}))
+    with pytest.raises(IntegrityError, match=name):
+        load_model(path)
+
+
+def test_schema1_document_holding_batch_divisor_is_refused(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(_trained_model(), path)
+    _resave(path, lambda p: p.update(schema_version=1))
+    with pytest.raises(IntegrityError, match="batch_divisor"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_memory_is_not_saved(tmp_path, value):
+    model = _trained_model()
+    model.store.sigma[1, 0] = value
+    path = tmp_path / "model.json"
+    with pytest.raises(NonFiniteError):
+        save_model(model, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_document_that_is_not_strict_json_is_refused(tmp_path, token):
+    # Even a checksum over the lax encoding does not make it a document.
+    path = tmp_path / "model.json"
+    save_model(_trained_model(), path)
+    _resave(path, lambda p: p["memory"]["mu"][0].__setitem__(0, float(token)))
+    assert token in path.read_text()
+    with pytest.raises(IntegrityError, match="strict JSON"):
         load_model(path)
 
 
@@ -638,4 +785,12 @@ def test_dataset_rejects_non_finite_features(value):
 def test_label_class_count_rejects_negative_labels(labels):
     ds = FeatureDataset(np.zeros((len(labels), 2)), labels)
     with pytest.raises(LabelRangeError):
+        ds.label_class_count()
+
+
+@pytest.mark.parametrize("labels", [[0, MAX_CLASSES], [2**63 - 1]])
+def test_label_class_count_rejects_labels_of_max_classes_or_more(labels):
+    # Largest label + 1 classes would be allocated for every memory node.
+    ds = FeatureDataset(np.zeros((len(labels), 2)), labels)
+    with pytest.raises(LabelRangeError, match="below"):
         ds.label_class_count()

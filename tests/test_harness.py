@@ -256,7 +256,7 @@ class TestAblation:
             (TopologyConfig(8, 10, 10, 6, seed=5), HyperParams(batch_size=32, beta=0.5)),
             (
                 TopologyConfig(8, 10, 0, 1, seed=6),
-                HyperParams(confidence_normalized=True, rounds=2),
+                HyperParams(batch_divisor="confidence", rounds=2),
             ),
         ],
     )

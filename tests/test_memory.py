@@ -10,6 +10,7 @@ from emn.errors import ConfigError, DimensionError, LabelRangeError, NotTrainedE
 from emn.inference import batch_node_votes, build_model
 from emn.memory import (
     CONFIDENCE_FLOOR,
+    MAX_CLASSES,
     HyperParams,
     MemoryStore,
     init_memory,
@@ -50,6 +51,13 @@ class TestInit:
             init_memory(100, 0)
         with pytest.raises(ConfigError):
             init_memory(0, 3)
+
+    def test_class_count_is_at_most_max_classes(self):
+        assert init_memory(1, MAX_CLASSES).class_count == MAX_CLASSES
+        with pytest.raises(ConfigError, match="class_count"):
+            init_memory(2, MAX_CLASSES + 1)
+        with pytest.raises(ConfigError, match="class_count"):
+            init_memory(2, 2**63)
 
     @pytest.mark.parametrize(
         "shapes",

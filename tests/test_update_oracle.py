@@ -3,9 +3,9 @@
 ``supervised_update`` and ``reinforced_update`` update every class of a
 batch in one pass; they must leave mu, sigma and the initialized mask
 exactly as the one-class-at-a-time loop in ``oracles`` does, sign bits
-included, for every combination of the four ``HyperParams`` flags. The
-node counts include 1, where numpy sums a one-column block pairwise
-rather than row after row.
+included, for every combination of the fuzzy and confidence flags and
+the batch divisor. The node counts include 1, where numpy sums a
+one-column block pairwise rather than row after row.
 """
 
 import itertools
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from emn.adaptation import reinforced_update
-from emn.memory import HyperParams, init_memory, supervised_update
+from emn.memory import BATCH_DIVISORS, HyperParams, init_memory, supervised_update
 from oracles import reference_reinforced_update, reference_supervised_update
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -22,17 +22,17 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 NODE_COUNTS = (1, 2, 3, 100)
 CLASS_COUNTS = (1, 2, 3, 10, 40)
 BATCH_ROWS = (1, 2, 9, 64, 200)
-FLAGS = list(itertools.product((True, False), repeat=4))
-FLAG_IDS = ["-".join(f"{name}{int(on)}" for name, on in zip("fcnl", f)) for f in FLAGS]
+# (fuzzy_enabled, confidence_enabled, index into BATCH_DIVISORS)
+FLAGS = list(itertools.product((True, False), (True, False), range(len(BATCH_DIVISORS))))
+FLAG_IDS = [f"f{int(f)}-c{int(c)}-{BATCH_DIVISORS[d]}" for f, c, d in FLAGS]
 
 
 def _hyper(flags):
-    fuzzy, confidence, normalized, literal = flags
+    fuzzy, confidence, divisor = flags
     return HyperParams(
         fuzzy_enabled=fuzzy,
         confidence_enabled=confidence,
-        confidence_normalized=normalized,
-        literal_batch_divisor=literal,
+        batch_divisor=BATCH_DIVISORS[divisor],
     )
 
 
@@ -74,7 +74,7 @@ def _same(got, want):
 
 def _cases(flags, seed):
     """Every node count, class count and batch size, on data drawn afresh
-    for each flag combination."""
+    for each combination (seeded with integers only)."""
     hyper = _hyper(flags)
     rng = np.random.default_rng((seed, *flags))
     for nodes, C, rows in itertools.product(NODE_COUNTS, CLASS_COUNTS, BATCH_ROWS):
