@@ -1,0 +1,230 @@
+#!/usr/bin/env python3
+"""Mutation checks: each guard in ``MUTANTS`` is pinned by the tests it names.
+
+Each entry names a source file, an exact string in it (the guard), the
+string that disables the guard, and the pytest node ids expected to fail
+once it is disabled. The script copies ``src``, ``tests`` and
+``pyproject.toml`` to a temporary directory, never touching the working
+tree, and checks that the listed tests pass on the unmutated copy. Then,
+one mutant at a time, it applies the edit to the copy, runs only the listed
+tests and restores the file. A mutant survives when any listed id (a test,
+or every case of a parametrized one) has no failing case. It prints one
+line per mutant and exits 1 if any survived or its run went wrong.
+
+Usage: python scripts/mutation_check.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repo root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # node ids, each expected to fail
+
+
+_MEMORY, _DATAIO = "src/emn/memory.py", "src/emn/dataio.py"
+_FAULT = "tests/test_dataio.py::test_structurally_bad_document_is_an_integrity_error"
+_SOUND = "tests/test_memory.py::TestSoundStore"
+_EMNF = "tests/test_dataio.py::TestEmnf"
+
+MUTANTS = (
+    # Memory values: the store and update checks and the update's errstate.
+    Mutant(
+        "store soundness check", _MEMORY,
+        "        if not sound(self.hyper, self.mu, self.sigma):",
+        "        if False:",
+        (f"{_SOUND}::test_unsound_store_is_refused_when_built",
+         f"{_FAULT}[sigma negative]", f"{_FAULT}[sigma too large to score]"),
+    ),
+    Mutant(
+        "update soundness check", _MEMORY,
+        "    if not sound(store.hyper, mu, sigma):",
+        "    if False:",
+        (f"{_SOUND}::test_overflowing_supervised_update_writes_nothing",
+         f"{_SOUND}::test_overflowing_reinforced_update_writes_nothing",
+         f"{_SOUND}::test_update_whose_sigma_overflows_the_scale_writes_nothing",
+         f"{_SOUND}::test_batches_before_an_overflowing_one_stay_applied",
+         f"{_SOUND}::test_train_supervised_on_overflowing_rows_is_a_data_error"),
+    ),
+    Mutant(
+        "update errstate", _MEMORY,
+        '    with np.errstate(over="ignore", invalid="ignore"):\n        mean =',
+        "    with np.errstate():\n        mean =",
+        (f"{_SOUND}::test_overflowing_supervised_update_writes_nothing",
+         "tests/test_cli.py::test_train_whose_memory_overflows_writes_no_model"),
+    ),
+    # Model documents: JSON element types and values.
+    Mutant(
+        "memory element types", _DATAIO,
+        "        _check_types(chain.from_iterable(mem[name]), kind, name, path)",
+        "        pass",
+        (f"{_FAULT}[mu a string]", f"{_FAULT}[sigma a boolean]",
+         f"{_FAULT}[initialized a boolean]"),
+    ),
+    Mutant(
+        "initialized is 0 or 1", _DATAIO,
+        '    if not set(chain.from_iterable(mem["initialized"])) <= {0, 1}:',
+        "    if False:",
+        (f"{_FAULT}[initialized 2]",),
+    ),
+    Mutant(
+        "weight element types", _DATAIO,
+        '    _check_types(flat_weights, "float", "weight", path)',
+        "    pass",
+        (f"{_FAULT}[weight a string]",),
+    ),
+    Mutant(
+        "strict JSON on save", _DATAIO,
+        "json.dumps(doc, allow_nan=False)",
+        "json.dumps(doc)",
+        ("tests/test_dataio.py::test_non_finite_memory_is_not_saved",),
+    ),
+    Mutant(
+        "strict JSON on load", _DATAIO,
+        "json.load(f, parse_constant=_refuse_constant)",
+        "json.load(f)",
+        ("tests/test_dataio.py::test_document_that_is_not_strict_json_is_refused",),
+    ),
+    # Bounds on what input may ask for.
+    Mutant(
+        "label cap MAX_CLASSES", _DATAIO,
+        "        if self.labels.max() >= MAX_CLASSES:",
+        "        if False:",
+        ("tests/test_dataio.py::test_label_class_count_rejects_labels_of_max_classes_or_more",
+         "tests/test_cli.py::test_train_on_a_label_of_max_classes_or_more_is_a_data_error"),
+    ),
+    Mutant(
+        "init_memory class cap", _MEMORY,
+        "    if not 1 <= class_count <= MAX_CLASSES:",
+        "    if not 1 <= class_count:",
+        ("tests/test_memory.py::TestInit::test_class_count_is_at_most_max_classes",),
+    ),
+    Mutant(
+        "rounds cap MAX_ROUNDS", _MEMORY,
+        "        if not 1 <= self.rounds <= MAX_ROUNDS:",
+        "        if not 1 <= self.rounds:",
+        (f"{_FAULT}[rounds beyond the cap]",),
+    ),
+    Mutant(
+        "sigma1 finite", _MEMORY,
+        "        if not -np.inf < self.sigma1 < np.inf:",
+        "        if False:",
+        ("tests/test_configs.py::test_sigma1_is_finite_even_when_fuzzy_is_off",),
+    ),
+    # EMNF datasets.
+    Mutant(
+        "exact EMNF size", _DATAIO,
+        "    if len(payload) != size:",
+        "    if len(payload) < size:",
+        (f"{_EMNF}::test_trailing_byte_is_refused",
+         f"{_EMNF}::test_header_declaring_fewer_rows_than_the_file_holds",
+         f"{_EMNF}::test_labeled_file_read_as_unlabeled_is_refused"),
+    ),
+    Mutant(
+        "EMNF flag bits", _DATAIO,
+        "        if flags & ~_EMNF_LABELED:",
+        "        if False:",
+        (f"{_EMNF}::test_unknown_flag_bits_are_refused",),
+    ),
+    # Topologies.
+    Mutant(
+        "read-only topology buffers", "src/emn/topology.py",
+        "            flat.flags.writeable = False",
+        "            pass",
+        ("tests/test_topology.py::test_edges_are_read_only",),
+    ),
+)
+
+
+def _pytest(workdir: Path, tests) -> tuple[int, set[str], str]:
+    """Exit code, failing node ids and output of pytest over ``tests``."""
+    # No bytecode: a mutant of the same size written in the same second as
+    # its original would otherwise run from the original's cached .pyc.
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rf",
+         "-p", "no:cacheprovider", *tests],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+    failed = {
+        line[len("FAILED "):].split(" - ", 1)[0]
+        for line in result.stdout.splitlines()
+        if line.startswith("FAILED ")
+    }
+    return result.returncode, failed, result.stdout + result.stderr
+
+
+def _caught(test: str, failed: set[str]) -> bool:
+    """Whether some case that node id ``test`` selects failed."""
+    return any(f == test or f.startswith((test + "[", test + "::")) for f in failed)
+
+
+def check(mutant: Mutant, workdir: Path) -> list[str]:
+    """The listed tests that the mutant survives; ``RuntimeError`` when
+    pytest could not run them."""
+    path = workdir / mutant.file
+    original = path.read_text(encoding="utf-8")
+    path.write_text(original.replace(mutant.old, mutant.new, 1), encoding="utf-8")
+    try:
+        code, failed, output = _pytest(workdir, mutant.tests)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    if code not in (0, 1):
+        raise RuntimeError(f"pytest exited {code}:\n{output}")
+    return [t for t in mutant.tests if not _caught(t, failed)]
+
+
+def main() -> int:
+    for m in MUTANTS:
+        if (ROOT / m.file).read_text(encoding="utf-8").count(m.old) != 1:
+            print(f"{m.name}: the guard does not occur exactly once in {m.file}")
+            return 1
+
+    with tempfile.TemporaryDirectory(prefix="emn-mutants-") as tmp:
+        workdir = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, workdir / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, workdir / name)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        code, _, output = _pytest(workdir, tests)
+        if code != 0:
+            print(f"the listed tests fail on the unmutated copy:\n{output}")
+            return 1
+
+        bad = 0
+        for m in MUTANTS:
+            try:
+                survived = check(m, workdir)
+            except RuntimeError as exc:
+                bad += 1
+                print(f"ERROR    {m.name}: {exc}")
+                continue
+            bad += bool(survived)
+            verdict = "killed  " if not survived else "SURVIVED"
+            detail = "" if not survived else f": {', '.join(survived)} passed"
+            print(f"{verdict} {m.name} ({m.file}){detail}")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,11 @@ Formats:
   - Model documents: strict JSON (no ``NaN`` or ``Infinity``) with a CRC-32
     checksum over the canonical payload; floats round-trip at full 64-bit
     precision. Schema 2 is written; schema 1, which held the batch divisor
-    as two flags, is read through ``_schema1_hyper``.
+    as two flags, is read through ``_schema1_hyper``. Loading checks the
+    document's own rules: every value's JSON type (one table,
+    ``_JSON_TYPES``, for config fields, ``class_count``, edges, weights,
+    mu, sigma and the 0/1 ``initialized`` flags). The topology and the
+    memory store check their structure and values themselves when built.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from emn.errors import (
     VersionError,
 )
 from emn.inference import EmnModel, check_finite_rows
-from emn.memory import MAX_CLASSES, HyperParams, MemoryStore, log_likelihood
+from emn.memory import MAX_CLASSES, HyperParams, MemoryStore
 from emn.topology import NetworkTopology, TopologyConfig, split_views
 
 EMNF_MAGIC = b"EMNF"
@@ -360,14 +364,23 @@ def load_model(path) -> EmnModel:
         raise IntegrityError(f"{path}: {exc}") from None
 
 
+# The JSON types that may stand for a payload value, by the type it loads
+# as: an integer may stand for a float, and a bool stands only for a bool.
+_JSON_TYPES = {"int": {int}, "float": {int, float}, "bool": {bool}, "str": {str}}
+
+
+def _check_types(values, kind: str, name: str, path) -> None:
+    """``IntegrityError`` unless each of ``values`` is a JSON ``kind``."""
+    if not set(map(type, values)) <= _JSON_TYPES[kind]:
+        raise IntegrityError(f"{path}: {name} must be a JSON {kind}")
+
+
 def _config(cls, values: dict, path):
-    """``cls(**values)``, each value a JSON value of its field's type (an
-    integer may stand for a float); annotations are postponed, so a field's
-    type is its name."""
-    allowed = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+    """``cls(**values)``, each value a JSON value of its field's type;
+    annotations are postponed, so a field's type is its name."""
     for f in fields(cls):
-        if f.name in values and type(values[f.name]) not in allowed[f.type]:
-            raise IntegrityError(f"{path}: {f.name} must be a JSON {f.type}")
+        if f.name in values:
+            _check_types([values[f.name]], f.type, f.name, path)
     return cls(**values)
 
 
@@ -384,8 +397,7 @@ def _schema1_hyper(hyper: dict, path) -> dict:
         for name in ("confidence_normalized", "literal_batch_divisor")
     }
     for name, value in flags.items():
-        if type(value) is not bool:
-            raise IntegrityError(f"{path}: {name} must be a JSON bool")
+        _check_types([value], "bool", name, path)
     hyper["batch_divisor"] = (
         "confidence" if flags["confidence_normalized"]
         else "batch" if flags["literal_batch_divisor"]
@@ -399,36 +411,34 @@ def _model_from_payload(payload: dict, path) -> EmnModel:
     hyper = _config(HyperParams, payload["hyper"], path)
     edges, weights = payload["topology"]["edges"], payload["topology"]["weights"]
     ids = list(chain.from_iterable(edges))
-    # JSON integers only: a cast would turn 0.5 or true into edge 0.
-    if not set(map(type, ids)) <= {int}:
-        raise IntegrityError(f"{path}: edge ids must be JSON integers")
+    flat_weights = list(chain.from_iterable(weights))
+    # A cast would turn 0.5 or true into edge 0, and "0.25" into a weight.
+    _check_types(ids, "int", "edge id", path)
+    _check_types(flat_weights, "float", "weight", path)
     # One conversion per dtype; the topology copies the views once more.
     topology = NetworkTopology(
         tcfg,
         split_views(np.array(ids, dtype=np.int64), [len(p) for p in edges]),
-        split_views(
-            np.array(list(chain.from_iterable(weights)), dtype=np.float64),
-            [len(w) for w in weights],
-        ),
+        split_views(np.array(flat_weights, dtype=np.float64), [len(w) for w in weights]),
     )
     class_count = payload["class_count"]
-    if type(class_count) is not int or class_count < 1:
-        raise IntegrityError(f"{path}: class_count must be a positive integer")
+    _check_types([class_count], "int", "class_count", path)
+    if class_count < 1:
+        raise IntegrityError(f"{path}: class_count must be positive")
     mem = payload["memory"]
+    for name, kind in (("mu", "float"), ("sigma", "float"), ("initialized", "int")):
+        _check_types(chain.from_iterable(mem[name]), kind, name, path)
+    # save_model writes each initialized flag as the integer 0 or 1.
+    if not set(chain.from_iterable(mem["initialized"])) <= {0, 1}:
+        raise IntegrityError(f"{path}: initialized must be 0 or 1")
+    # Uninitialized pairs load; retrieval refuses them with NotTrainedError.
+    # The store checks its own values (ConfigError).
     store = MemoryStore(
         np.array(mem["mu"], dtype=np.float64),
         np.array(mem["sigma"], dtype=np.float64),
         np.array(mem["initialized"], dtype=bool),
         hyper,
     )
-    # Uninitialized pairs load; retrieval refuses them with NotTrainedError.
-    mu, sigma = store.mu, store.sigma
-    if not (np.isfinite(mu).all() and (np.isfinite(sigma) & (sigma >= 0.0)).all()):
-        raise IntegrityError(f"{path}: memory mu must be finite, sigma finite and >= 0")
-    # A pair that scores its own mu non-finitely scores every signal -inf.
-    with np.errstate(over="ignore"):
-        if not np.isfinite(log_likelihood(hyper, mu, sigma, mu)).all():
-            raise IntegrityError(f"{path}: memory sigma too large to score a signal")
     return EmnModel(
         topology, store, class_count, hyper, dict(payload.get("metadata", {}))
     )

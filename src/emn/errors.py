@@ -54,7 +54,8 @@ class ParseError(EmnError):
 
 class NonFiniteError(EmnError):
     """A feature value is NaN or infinite (the message names the first bad
-    row), or a model to be saved holds one."""
+    row), a memory update overflows (the store is left as it was), or a
+    model to be saved holds a NaN or infinite value."""
     exit_code = 3
 
 

@@ -180,7 +180,9 @@ def baseline_gnb_eval(model: GnbModel, dataset: FeatureDataset) -> EvalReport:
 def train_supervised(
     model: EmnModel, source: FeatureDataset, shuffle_seed: int = 0
 ) -> None:
-    """One shuffled pass of batched supervised memory updates."""
+    """One shuffled pass of batched supervised memory updates. A batch whose
+    update overflows raises ``NonFiniteError`` and writes nothing; the
+    batches before it stay applied."""
     if source.labels is None:
         raise MissingLabelsError("supervised training requires labels")
     if shuffle_seed < 0:

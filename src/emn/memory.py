@@ -6,7 +6,14 @@ is substituted wherever the variance-like denominator appears in the
 class density and its blurred variant. ``log_likelihood`` is the one
 statement of the class log likelihood, used by ``store_log_likelihoods``
 (every node and class of a batch of rows, the input of fusion in
-``emn.inference``), by ``reinforced_update`` and by ``emn.dataio``.
+``emn.inference``), by ``reinforced_update`` and by ``sound``.
+
+``sound`` is the one rule for what a store may hold: sigma >= 0, and every
+(node, class) pair scores its own mu finitely, which needs mu and sigma
+finite and sigma small enough not to overflow the density's scale. A
+``MemoryStore`` is checked when built (``ConfigError``), and each batch
+update checks the block it is about to write (``NonFiniteError``, the store
+left untouched), so only a direct write into the arrays can break the rule.
 
 ``supervised_update`` and ``reinforced_update`` (driven by the epoch loop
 of ``emn.adaptation``) share one batch EMA with temperature
@@ -31,6 +38,7 @@ from emn.errors import (
     ConfigError,
     DimensionError,
     LabelRangeError,
+    NonFiniteError,
     NotTrainedError,
 )
 
@@ -84,6 +92,10 @@ class MemoryStore:
         shape = self.mu.shape
         if len(shape) != 2 or not self.sigma.shape == self.initialized.shape == shape:
             raise DimensionError("mu, sigma and initialized must share one 2-D shape")
+        if not sound(self.hyper, self.mu, self.sigma):
+            raise ConfigError(
+                "memory mu must be finite, and sigma >= 0 and small enough to score a signal"
+            )
 
     @property
     def node_count(self) -> int:
@@ -167,19 +179,28 @@ def _ema_update(store: MemoryStore, blocks: _ClassBlocks, weights, divisor) -> N
     its sigma toward their weighted mean absolute deviation about the new
     mu. ``weights`` is 1.0 or aligned with ``blocks.rows``; sums are divided
     by ``divisor`` (broadcast to classes x nodes), and a (node, class) pair
-    whose divisor is 0 stays untouched."""
+    whose divisor is 0 stays untouched. The new block is checked before
+    anything is written: an update that overflows the ``sound`` rule raises
+    ``NonFiniteError`` and leaves the store as it was."""
     beta = store.hyper.beta
     k = blocks.classes
     old_mu, old_sigma = store.mu[:, k].T, store.sigma[:, k].T  # classes x nodes
     touch = np.broadcast_to(divisor > 0.0, old_mu.shape)
     safe_div = np.where(touch, divisor, 1.0)
     init = store.initialized[:, k].T
-    mean = blocks.sums(weights * blocks.rows) / safe_div
-    mu = np.where(init, beta * old_mu + (1.0 - beta) * mean, mean)
-    mad = blocks.sums(weights * np.abs(blocks.rows - mu[blocks.index])) / safe_div
-    sigma = np.where(init, beta * old_sigma + (1.0 - beta) * mad, mad)
-    store.mu[:, k] = np.where(touch, mu, old_mu).T
-    store.sigma[:, k] = np.where(touch, sigma, old_sigma).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = blocks.sums(weights * blocks.rows) / safe_div
+        mu = np.where(init, beta * old_mu + (1.0 - beta) * mean, mean)
+        mad = blocks.sums(weights * np.abs(blocks.rows - mu[blocks.index])) / safe_div
+        sigma = np.where(init, beta * old_sigma + (1.0 - beta) * mad, mad)
+    mu, sigma = np.where(touch, mu, old_mu), np.where(touch, sigma, old_sigma)
+    if not sound(store.hyper, mu, sigma):
+        raise NonFiniteError(
+            "memory update overflows: a new mu or sigma is NaN or infinite, "
+            "or too large to score a signal"
+        )
+    store.mu[:, k] = mu.T
+    store.sigma[:, k] = sigma.T
     store.initialized[:, k] |= touch.T
 
 
@@ -210,7 +231,8 @@ def reinforced_update(store: MemoryStore, signals, pseudo_labels) -> None:
     if hyper.confidence_enabled:
         k = blocks.classes[blocks.index]  # each sorted row's pseudo class
         mu, sigma = store.mu[:, k].T, store.sigma[:, k].T
-        e = np.exp(log_likelihood(hyper, mu, sigma, blocks.rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(log_likelihood(hyper, mu, sigma, blocks.rows))
     else:
         e = np.ones_like(blocks.rows)
 
@@ -257,6 +279,18 @@ def log_likelihood(hyper: HyperParams, mu, sigma, m_hat):
     np.divide(out, scale, out)
     np.subtract(offset, out, out)
     return out if out.ndim else float(out)
+
+
+def sound(hyper: HyperParams, mu, sigma) -> bool:
+    """Whether memories (mu, sigma) of one shape may be stored: sigma >= 0
+    and every pair scores its own mu finitely. A NaN or infinite mu or
+    sigma fails the score, and so does a sigma whose scale overflows (a
+    pair that scores its own mu -inf scores every signal -inf)."""
+    with np.errstate(all="ignore"):
+        return bool(
+            (sigma >= 0.0).all()
+            and np.isfinite(log_likelihood(hyper, mu, sigma, mu)).all()
+        )
 
 
 def store_log_likelihoods(store: MemoryStore, signals: np.ndarray) -> np.ndarray:

@@ -402,7 +402,6 @@ def test_train_with_non_finite_sigma1_is_a_config_error(task_files, tmp_path, ca
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_whose_memory_overflows_writes_no_model(tmp_path, capsys):
     # Rows of 1e307 are finite, but their memory sums overflow to inf.
     src = tmp_path / "huge.csv"
@@ -411,6 +410,7 @@ def test_train_whose_memory_overflows_writes_no_model(tmp_path, capsys):
         capsys, "train", "--source", str(src), "--model", str(tmp_path / "m.json"),
     )
     assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "NaN or infinite" in err
     assert not (tmp_path / "m.json").exists()
 
@@ -458,7 +458,6 @@ def test_config_file_not_utf8_is_a_config_error(task_files, tmp_path, capsys):
     assert "UTF-8" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300"])
 def test_predict_on_non_finite_feature_is_a_data_error(
     model_file, tmp_path, capsys, value

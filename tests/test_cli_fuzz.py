@@ -11,7 +11,6 @@ options at -1 or 0.
 import argparse
 import json
 import struct
-import warnings
 import zlib
 
 import hypothesis.strategies as st
@@ -104,9 +103,7 @@ def test_mutated_csv_gives_a_documented_exit_code(workdir, capsys, command, data
     target, out = root / "mutated.csv", root / "written.json"
     target.write_bytes(data.draw(mutated_csv(lines)))
     out.unlink(missing_ok=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(_csv_argv(command, model, target, out))
+    code = main(_csv_argv(command, model, target, out))
     err = capsys.readouterr().err
     assert code in EXIT_CODES
     assert "Traceback" not in err
@@ -124,9 +121,7 @@ def test_mutated_csv_gives_a_documented_exit_code(workdir, capsys, command, data
 
 
 def _run_predict(capsys, model, target) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["predict", "--model", str(model), "--target", str(target)])
+    code = main(["predict", "--model", str(model), "--target", str(target)])
     err = capsys.readouterr().err
     assert code in EXIT_CODES
     assert "Traceback" not in err
@@ -290,9 +285,7 @@ def test_int_option_at_minus_one_or_zero_gives_a_documented_exit_code(
 ):
     root, model, _ = workdir
     argv = _base_argv(command, root, model, tmp_path) | {option: value}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main([command, *(item for pair in argv.items() for item in pair)])
+    code = main([command, *(item for pair in argv.items() for item in pair)])
     err = capsys.readouterr().err
     assert code in EXIT_CODES
     assert "Traceback" not in err

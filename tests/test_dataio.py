@@ -582,6 +582,13 @@ def _set_weight(value):
     return mutate
 
 
+def _set_memory(name, value):
+    def mutate(payload):
+        payload["memory"][name][1][0] = value
+
+    return mutate
+
+
 STRUCTURE_FAULTS = {
     "negative edge id": _set_edge(-1, 0, -3),
     "edge id past the end": _set_edge(-1, 0, 999),
@@ -621,6 +628,13 @@ STRUCTURE_FAULTS = {
     "batch divisor unknown": lambda p: p["hyper"].update(batch_divisor="x"),
     "batch divisor not a string": lambda p: p["hyper"].update(batch_divisor=1),
     "schema 1 divisor flag": lambda p: p["hyper"].update(confidence_normalized=True),
+    "mu a string": _set_memory("mu", "1.5"),
+    "sigma a boolean": _set_memory("sigma", True),
+    "initialized a string": _set_memory("initialized", "x"),
+    "initialized 2": _set_memory("initialized", 2),
+    "initialized a fraction": _set_memory("initialized", 0.5),
+    "initialized a boolean": _set_memory("initialized", True),
+    "weight a string": _set_weight("0.25"),
 }
 
 

@@ -6,15 +6,27 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from emn import adaptation, memory
-from emn.errors import ConfigError, DimensionError, LabelRangeError, NotTrainedError
-from emn.inference import batch_node_votes, build_model
+from emn.dataio import FeatureDataset
+from emn.errors import (
+    ConfigError,
+    DimensionError,
+    IntegrityError,
+    LabelRangeError,
+    NonFiniteError,
+    NotTrainedError,
+)
+from emn.harness import train_supervised
+from emn.inference import EmnModel, batch_node_votes, build_model, predict
 from emn.memory import (
     CONFIDENCE_FLOOR,
     MAX_CLASSES,
     HyperParams,
     MemoryStore,
+    batched_updates,
     init_memory,
     log_likelihood,
+    reinforced_update,
+    sound,
     supervised_update,
 )
 from emn.topology import TopologyConfig
@@ -149,6 +161,108 @@ class TestSupervisedUpdate:
             labels = rng.integers(0, 3, size=6)
             supervised_update(store, signals, labels)
             assert np.all(store.sigma >= 0.0)
+
+
+def _store_bytes(store):
+    return store.mu.tobytes(), store.sigma.tobytes(), store.initialized.tobytes()
+
+
+class TestSoundStore:
+    """``memory.sound`` is checked when a store is built and before an
+    update writes it."""
+
+    @pytest.mark.parametrize(
+        "mu, sigma, fuzzy",
+        [
+            (np.nan, 1.0, True),
+            (np.inf, 1.0, False),
+            (1.0, np.inf, True),
+            (1.0, np.nan, False),
+            (1.0, -1.0, True),
+            (1.0, -1.0, False),
+            (1.0, 1e308, True),  # 2 * sigma overflows the blurred scale
+        ],
+    )
+    def test_unsound_store_is_refused_when_built(self, mu, sigma, fuzzy):
+        hyper = HyperParams(fuzzy_enabled=fuzzy)
+        mus, sigmas = np.zeros((2, 3)), np.ones((2, 3))
+        mus[1, 2], sigmas[1, 2] = mu, sigma
+        assert not sound(hyper, mus, sigmas)
+        with pytest.raises(ConfigError, match="memory"):
+            MemoryStore(mus, sigmas, np.ones((2, 3), dtype=bool), hyper)
+
+    def test_fresh_copied_and_huge_stores_build(self):
+        store = init_memory(4, 3)
+        assert _store_bytes(store.copy()) == _store_bytes(store)
+        # The plain density's scale is 2 * sigma: 1e308 scores finitely.
+        MemoryStore(
+            np.zeros((2, 2)), np.full((2, 2), 1e308), np.ones((2, 2), dtype=bool),
+            HyperParams(fuzzy_enabled=False),
+        )
+        # Each pair scores its own mu finitely, so mu at 1e300 builds; its
+        # square overflows retrieval, which names the model at predict.
+        topology = build_model(TopologyConfig(2, 2, 2, 3), 2).topology
+        hyper = HyperParams()
+        store = MemoryStore(
+            np.full((4, 2), 1e300), np.ones((4, 2)), np.ones((4, 2), dtype=bool), hyper
+        )
+        model = EmnModel(topology, store, 2, hyper)
+        with pytest.raises(IntegrityError, match="mu too large"):
+            predict(model, np.zeros(2))
+
+    def test_overflowing_supervised_update_writes_nothing(self):
+        # Class 0 is trained, class 1 not: a written batch would move both.
+        store = init_memory(2, 2, HyperParams(beta=0.9))
+        store.mu[:, 0], store.sigma[:, 0], store.initialized[:, 0] = 1.0, 1.0, True
+        before = _store_bytes(store)
+        signals = np.array([[1e308, 1e308], [1e308, 1.0], [2.0, 2.0]])
+        with pytest.raises(NonFiniteError, match="NaN or infinite"):
+            supervised_update(store, signals, np.array([1, 1, 0]))
+        assert _store_bytes(store) == before
+
+    @pytest.mark.parametrize("divisor", ["class", "batch"])
+    def test_overflowing_reinforced_update_writes_nothing(self, divisor):
+        hyper = HyperParams(confidence_enabled=False, batch_divisor=divisor)
+        store = init_memory(2, 2, hyper)
+        store.mu[:], store.sigma[:], store.initialized[:] = 1.0, 1.0, True
+        before = _store_bytes(store)
+        signals = np.array([[1e308, 1e308], [1e308, 1.0], [2.0, 2.0]])
+        with pytest.raises(NonFiniteError, match="NaN or infinite"):
+            reinforced_update(store, signals, np.array([0, 0, 1]))
+        assert _store_bytes(store) == before
+
+    def test_update_whose_sigma_overflows_the_scale_writes_nothing(self):
+        # The new mu (0) and sigma (5e307) are finite; 2 * sigma + sigma1 is not.
+        store = init_memory(1, 1, HyperParams(sigma1=1e308))
+        signals = np.array([[5e307], [-5e307]])
+        with pytest.raises(NonFiniteError):
+            supervised_update(store, signals, np.array([0, 0]))
+        assert not store.initialized.any()
+        store.hyper = HyperParams(sigma1=1.0)
+        supervised_update(store, signals, np.array([0, 0]))
+        assert store.sigma[0, 0] == 5e307
+
+    def test_batches_before_an_overflowing_one_stay_applied(self):
+        # Batch size 2; the shuffled order puts an overflowing pair second.
+        order = np.random.default_rng(5).permutation(6)
+        signals, labels = np.ones((6, 1)), np.zeros(6, dtype=np.int64)
+        signals[order[:2]] = [[2.0], [4.0]]
+        signals[order[2:4]] = 1e308
+        store = init_memory(1, 1, HyperParams(batch_size=2))
+        with pytest.raises(NonFiniteError):
+            batched_updates(supervised_update, store, signals, labels, seed=5)
+        first = init_memory(1, 1, HyperParams(batch_size=2))
+        supervised_update(first, signals[order[:2]], labels[:2])
+        assert _store_bytes(store) == _store_bytes(first)
+        assert store.mu[0, 0] == 3.0
+
+    def test_train_supervised_on_overflowing_rows_is_a_data_error(self):
+        X = np.array([[1e307, 1e307], [-1e307, 1e307]] * 8)
+        model = build_model(TopologyConfig(2), 2)
+        before = _store_bytes(model.store)
+        with pytest.raises(NonFiniteError, match="NaN or infinite"):
+            train_supervised(model, FeatureDataset(X, np.array([0, 1] * 8)))
+        assert _store_bytes(model.store) == before
 
 
 class TestFuzzyLikelihood:

@@ -1,6 +1,8 @@
 """The experiment scripts run against the current API: each one, on a small
-task, prints its CSV header and exits 0."""
+task, prints its CSV header and exits 0. The mutation table names guards
+that exist."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +34,26 @@ def test_script_runs_and_prints_its_header(script):
     lines = result.stdout.splitlines()
     assert lines[0] == HEADERS[script]
     assert len(lines) > 1
+
+
+def _mutants():
+    path = ROOT / "scripts" / "mutation_check.py"
+    spec = importlib.util.spec_from_file_location("mutation_check", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+@pytest.mark.parametrize("mutant", _mutants(), ids=lambda m: m.name)
+def test_each_mutation_guard_occurs_exactly_once(mutant):
+    assert (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old) == 1
+    assert mutant.new != mutant.old
+    assert mutant.tests
+    for test in mutant.tests:
+        assert (ROOT / test.split("::")[0]).is_file(), test
+
+
+def test_mutant_names_are_unique():
+    names = [m.name for m in _mutants()]
+    assert len(names) == len(set(names))
