@@ -41,6 +41,7 @@ _MEMORY, _DATAIO = "src/emn/memory.py", "src/emn/dataio.py"
 _FAULT = "tests/test_dataio.py::test_structurally_bad_document_is_an_integrity_error"
 _SOUND = "tests/test_memory.py::TestSoundStore"
 _EMNF = "tests/test_dataio.py::TestEmnf"
+_GNB = "tests/test_harness.py::TestGnbBaseline"
 
 MUTANTS = (
     # Memory values: the store and update checks and the update's errstate.
@@ -89,16 +90,37 @@ MUTANTS = (
         (f"{_FAULT}[weight a string]",),
     ),
     Mutant(
-        "strict JSON on save", _DATAIO,
-        "json.dumps(doc, allow_nan=False)",
-        "json.dumps(doc)",
-        ("tests/test_dataio.py::test_non_finite_memory_is_not_saved",),
+        "metadata is an object", _DATAIO,
+        '    _check_types([metadata], "object", "metadata", path)',
+        "    pass",
+        (f"{_FAULT}[metadata a list]",),
     ),
     Mutant(
-        "strict JSON on load", _DATAIO,
-        "json.load(f, parse_constant=_refuse_constant)",
-        "json.load(f)",
-        ("tests/test_dataio.py::test_document_that_is_not_strict_json_is_refused",),
+        "metadata value types", _DATAIO,
+        '    _check_types(metadata.values(), "str", "metadata value", path)',
+        "    pass",
+        (f"{_FAULT}[metadata value a list]", f"{_FAULT}[metadata value a number]"),
+    ),
+    # Model documents: the one strict encoder, on save and on load.
+    Mutant(
+        "strict JSON encoder", _DATAIO,
+        'separators=(",", ":"), allow_nan=False)',
+        'separators=(",", ":"))',
+        ("tests/test_dataio.py::test_non_finite_memory_is_not_saved",
+         "tests/test_dataio.py::test_document_that_is_not_strict_json_is_refused"),
+    ),
+    Mutant(
+        "document has two keys", _DATAIO,
+        '        if not isinstance(payload, dict) or doc.keys() != {"crc32", "payload"}:',
+        "        if not isinstance(payload, dict):",
+        ("tests/test_dataio.py::test_document_with_a_third_key_is_refused",),
+    ),
+    Mutant(
+        "deep nesting is a model error", _DATAIO,
+        "    except (ValueError, RecursionError) as exc:",
+        "    except ValueError as exc:",
+        ("tests/test_dataio.py::test_document_nested_too_deep_is_an_integrity_error",
+         "tests/test_cli.py::test_model_nested_too_deep_is_a_model_error"),
     ),
     # Bounds on what input may ask for.
     Mutant(
@@ -140,6 +162,20 @@ MUTANTS = (
         "        if flags & ~_EMNF_LABELED:",
         "        if False:",
         (f"{_EMNF}::test_unknown_flag_bits_are_refused",),
+    ),
+    # The GNB baseline.
+    Mutant(
+        "GNB finite mean and variance", "src/emn/harness.py",
+        "    if not (np.isfinite(mu).all() and np.isfinite(var).all()):",
+        "    if False:",
+        (f"{_GNB}::test_overflowing_class_variance_is_a_data_error",
+         "tests/test_cli.py::test_eval_baseline_gnb_on_overflowing_source_is_a_data_error"),
+    ),
+    Mutant(
+        "GNB finite scores", "src/emn/harness.py",
+        '        check_finite_rows(scores, "GNB baseline score is not finite")',
+        "        pass",
+        (f"{_GNB}::test_overflowing_score_is_a_data_error",),
     ),
     # Topologies.
     Mutant(

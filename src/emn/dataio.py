@@ -13,14 +13,21 @@ Formats:
   - EMNF binary datasets: magic "EMNF", little-endian, version 1. Flag
     bit 0 marks labels and no other bit is defined; the payload is exactly
     the size the header declares.
-  - Model documents: strict JSON (no ``NaN`` or ``Infinity``) with a CRC-32
-    checksum over the canonical payload; floats round-trip at full 64-bit
-    precision. Schema 2 is written; schema 1, which held the batch divisor
-    as two flags, is read through ``_schema1_hyper``. Loading checks the
-    document's own rules: every value's JSON type (one table,
-    ``_JSON_TYPES``, for config fields, ``class_count``, edges, weights,
-    mu, sigma and the 0/1 ``initialized`` flags). The topology and the
-    memory store check their structure and values themselves when built.
+  - Model documents: the canonical text (``_canonical``: sorted keys, no
+    spaces) of ``{"crc32": N, "payload": P}`` and a newline, where N is
+    the CRC-32 of P's canonical text; floats round-trip at full 64-bit
+    precision. Any JSON layout of that object, with no other key, loads,
+    since the checksum is over P re-encoded. That re-encode is the one strictness rule: a
+    value that parses as NaN or infinite (``NaN``, ``Infinity``, or an
+    overflowing literal such as ``1e999``) has no canonical text, and a
+    document nested too deep to parse is refused as well. Schema 2 is
+    written; schema 1, which held the batch divisor as two flags, is read
+    through ``_schema1_hyper``. Loading checks the document's own rules:
+    every value's JSON type (one table, ``_JSON_TYPES``, for config
+    fields, ``class_count``, edges, weights, mu, sigma, the 0/1
+    ``initialized`` flags and the metadata object of strings). The
+    topology and the memory store check their structure and values
+    themselves when built.
 """
 
 from __future__ import annotations
@@ -315,41 +322,45 @@ def _model_payload(model: EmnModel) -> dict:
 
 
 def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The one JSON encoding of model documents: sorted keys, no spaces,
+    and ``ValueError`` for a NaN or infinite float, which has no strict
+    JSON form."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def save_model(model: EmnModel, path) -> None:
-    """Write a model document; ``NonFiniteError`` before the file is opened
-    when a value has no strict JSON form (NaN or infinite memory)."""
-    payload = _model_payload(model)
-    checksum = zlib.crc32(_canonical(payload).encode("utf-8"))
-    doc = {"payload": payload, "crc32": checksum}
-    # One dumps call: json.dump streams through the pure-Python encoder.
+    """Write a model document, ``_canonical`` of ``{"crc32", "payload"}``
+    and a newline; ``NonFiniteError`` before the file is opened when a
+    value has no strict JSON form (NaN or infinite memory)."""
     try:
-        text = json.dumps(doc, allow_nan=False) + "\n"
+        text = _canonical(_model_payload(model))
     except ValueError:
         raise NonFiniteError(f"{path}: model holds a NaN or infinite value") from None
+    checksum = zlib.crc32(text.encode("utf-8"))
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not strict JSON")
+        f.write(f'{{"crc32":{checksum},"payload":{text}}}\n')
 
 
 def load_model(path) -> EmnModel:
     """Read a model document of schema 1 or 2. Any document that is not a
     checksummed, well-formed model raises a model error: ``IntegrityError``
-    or ``SchemaVersionError``."""
+    or ``SchemaVersionError``. Strictness is the checksum's re-encode: a
+    payload value that parses as NaN or infinite (``NaN``, ``Infinity``,
+    ``1e999``) has no canonical text."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f, parse_constant=_refuse_constant)
-    except ValueError as exc:  # not UTF-8, not JSON, or not strict JSON
-        raise IntegrityError(f"{path}: not a model document: {exc}") from None
-    payload = doc.get("payload") if isinstance(doc, dict) else None
-    if not isinstance(payload, dict):
-        raise IntegrityError(f"{path}: not a model document")
-    if zlib.crc32(_canonical(payload).encode("utf-8")) != doc.get("crc32"):
+            doc = json.load(f)
+        payload = doc.get("payload") if isinstance(doc, dict) else None
+        # No key but these two, so every value is either re-encoded below
+        # or compared with the checksum.
+        if not isinstance(payload, dict) or doc.keys() != {"crc32", "payload"}:
+            raise IntegrityError(f"{path}: not a model document")
+        text = _canonical(payload)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, JSON or strict
+        raise IntegrityError(
+            f"{path}: not a model document (not strict JSON): {exc}"
+        ) from None
+    if zlib.crc32(text.encode("utf-8")) != doc["crc32"]:
         raise IntegrityError(f"{path}: checksum mismatch")
     version = payload.get("schema_version")
     if type(version) is not int or version not in (1, MODEL_SCHEMA_VERSION):
@@ -366,7 +377,9 @@ def load_model(path) -> EmnModel:
 
 # The JSON types that may stand for a payload value, by the type it loads
 # as: an integer may stand for a float, and a bool stands only for a bool.
-_JSON_TYPES = {"int": {int}, "float": {int, float}, "bool": {bool}, "str": {str}}
+_JSON_TYPES = {
+    "int": {int}, "float": {int, float}, "bool": {bool}, "str": {str}, "object": {dict}
+}
 
 
 def _check_types(values, kind: str, name: str, path) -> None:
@@ -439,9 +452,10 @@ def _model_from_payload(payload: dict, path) -> EmnModel:
         np.array(mem["initialized"], dtype=bool),
         hyper,
     )
-    return EmnModel(
-        topology, store, class_count, hyper, dict(payload.get("metadata", {}))
-    )
+    metadata = payload.get("metadata", {})
+    _check_types([metadata], "object", "metadata", path)
+    _check_types(metadata.values(), "str", "metadata value", path)
+    return EmnModel(topology, store, class_count, hyper, dict(metadata))
 
 
 # ---------------------------------------------------------------------------

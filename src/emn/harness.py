@@ -17,10 +17,11 @@ from emn.errors import (
     DimensionError,
     LabelRangeError,
     MissingLabelsError,
+    NonFiniteError,
     UsageError,
 )
-from emn.inference import EmnModel, labels_from_signals, predict_batch
-from emn.memory import HyperParams, batched_updates, check_label_range
+from emn.inference import EmnModel, check_finite_rows, labels_from_signals, predict_batch
+from emn.memory import HyperParams, batched_updates, check_label_range, log_likelihood
 from emn.memory import init_memory, supervised_update
 from emn.propagation import propagate_batch
 from emn.topology import TopologyConfig, build_topology
@@ -146,29 +147,40 @@ class GnbModel:
     _VAR_FLOOR = 1e-12
 
 
+# GNB scores a row by the plain Gaussian density, memory's fuzzy-off one.
+_GNB_DENSITY = HyperParams(fuzzy_enabled=False)
+
+
 def baseline_gnb_train(dataset: FeatureDataset) -> GnbModel:
+    """Per-class feature means and variances (floored at ``_VAR_FLOOR``);
+    ``NonFiniteError`` when one of them overflows."""
     C = dataset.label_class_count()
     dim = dataset.dim
     mu = np.zeros((C, dim))
     var = np.ones((C, dim))
-    for k in range(C):
-        rows = dataset.features[dataset.labels == k]
-        if rows.size:
-            mu[k] = rows.mean(axis=0)
-            var[k] = np.maximum(rows.var(axis=0), GnbModel._VAR_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(C):
+            rows = dataset.features[dataset.labels == k]
+            if rows.size:
+                mu[k] = rows.mean(axis=0)
+                var[k] = np.maximum(rows.var(axis=0), GnbModel._VAR_FLOOR)
+    if not (np.isfinite(mu).all() and np.isfinite(var).all()):
+        raise NonFiniteError("GNB baseline: class mean or variance is not finite")
     return GnbModel(mu, var, C)
 
 
 def baseline_gnb_eval(model: GnbModel, dataset: FeatureDataset) -> EvalReport:
+    """Accuracy of the GNB labels; ``NonFiniteError`` naming the first row
+    whose class scores are not all finite."""
     if dataset.dim != model.mu.shape[1]:
         raise DimensionError("feature dimension mismatch")
 
     def predict(X):
-        log_lik = (
-            -0.5 * np.log(2.0 * np.pi * model.var)[None]
-            - (X[:, None, :] - model.mu[None]) ** 2 / (2.0 * model.var)[None]
-        ).sum(axis=2)
-        return np.argmax(log_lik, axis=1)
+        with np.errstate(over="ignore"):
+            scores = log_likelihood(_GNB_DENSITY, model.mu, model.var, X[:, None, :])
+            scores = scores.sum(axis=2)
+        check_finite_rows(scores, "GNB baseline score is not finite")
+        return np.argmax(scores, axis=1)
 
     return _report(dataset, model.class_count, predict)
 

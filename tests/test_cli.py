@@ -195,6 +195,16 @@ def test_exit_code_model_error_for_non_json_file(task_files, tmp_path, capsys):
     assert "not a model document" in err
 
 
+def test_model_nested_too_deep_is_a_model_error(task_files, tmp_path, capsys):
+    _, tgt = task_files
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _run(capsys, "predict", "--model", str(doc), "--target", str(tgt))
+    assert code == 4
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "strict JSON" in err and out == ""
+
+
 def test_exit_code_model_error_for_bad_edge_id(task_files, model_file, capsys):
     import zlib
 
@@ -222,6 +232,24 @@ def test_eval_baseline_gnb_on_empty_target(task_files, model_file, tmp_path, cap
     assert code == 0
     assert "accuracy,0.0" in out
     assert "baseline_gnb_accuracy,0.0" in out
+
+
+def test_eval_baseline_gnb_on_overflowing_source_is_a_data_error(
+    task_files, model_file, tmp_path, capsys
+):
+    # Rows alternate between 0.5 and 1e200, so every class's GNB variance
+    # overflows.
+    _, tgt = task_files
+    big = tmp_path / "big.csv"
+    rows = [",".join(["1e200" if k % 2 else "0.5"] * 8 + [str(k % 3)]) for k in range(40)]
+    big.write_text(",".join(f"f{i}" for i in range(8)) + ",label\n" + "\n".join(rows))
+    code, out, err = _run(
+        capsys, "eval", "--model", str(model_file), "--target", str(tgt),
+        "--baseline-gnb", "--source", str(big),
+    )
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "GNB" in err and "variance" in err and out == ""
 
 
 def test_eval_negative_label_is_a_data_error(model_file, tmp_path, capsys):

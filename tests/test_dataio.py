@@ -14,6 +14,7 @@ from emn.adaptation import AdaptationConfig, adapt
 from emn.dataio import (
     FeatureDataset,
     SynthConfig,
+    _canonical,
     load_model,
     read_csv,
     read_dataset,
@@ -502,12 +503,25 @@ class TestModelDocument:
         for wa, wb in zip(model.topology.weights, back.topology.weights):
             assert np.array_equal(wa, wb)
 
-    def test_document_text_is_default_json(self, tmp_path):
-        # The file holds json's default text of the document and a newline,
+    def test_document_text_is_canonical_json(self, tmp_path):
+        # The file holds the canonical text of the document and a newline,
         # so its bytes do not depend on how the writer calls the encoder.
         save_model(_trained_model(seed=3), tmp_path / "model.json")
         text = (tmp_path / "model.json").read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text)) + "\n"
+        assert text == _canonical(json.loads(text)) + "\n"
+
+    def test_document_in_default_json_layout_still_loads(self, tmp_path):
+        # Earlier versions wrote json's default text, payload key first.
+        model = _trained_model(seed=3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({"payload": doc["payload"], "crc32": doc["crc32"]}))
+        back = load_model(path)
+        assert np.array_equal(model.store.mu, back.store.mu)
+        assert np.array_equal(model.store.sigma, back.store.sigma)
+        for wa, wb in zip(model.topology.weights, back.topology.weights):
+            assert np.array_equal(wa, wb)
 
     def test_saved_bytes_survive_a_load_and_a_hand_built_copy(self, tmp_path):
         model = _trained_model(seed=4)
@@ -557,15 +571,23 @@ class TestModelDocument:
             load_model(path)
 
 
+# A payload value that ``_resave`` writes as the literal 1e999, which parses
+# as inf.
+OVERFLOW = "<1e999>"
+
+
 def _resave(path, mutate):
-    """Apply ``mutate`` to a saved document's payload and re-checksum it."""
+    """Apply ``mutate`` to a saved document's payload and re-checksum it
+    over the lax canonical text of what a reader parses (NaN and Infinity
+    allowed), in the default json layout."""
     import zlib
 
     doc = json.loads(path.read_text())
     mutate(doc["payload"])
-    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
-    doc["crc32"] = zlib.crc32(canonical.encode("utf-8"))
-    path.write_text(json.dumps(doc))
+    text = json.dumps(doc["payload"]).replace(json.dumps(OVERFLOW), "1e999")
+    canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    crc = zlib.crc32(canonical.encode("utf-8"))
+    path.write_text(f'{{"payload": {text}, "crc32": {crc}}}')
 
 
 def _set_edge(node, slot, value):
@@ -635,6 +657,11 @@ STRUCTURE_FAULTS = {
     "initialized a fraction": _set_memory("initialized", 0.5),
     "initialized a boolean": _set_memory("initialized", True),
     "weight a string": _set_weight("0.25"),
+    "mu 1e999": _set_memory("mu", OVERFLOW),
+    "metadata value a list": lambda p: p.update(metadata={"note": [1, 2]}),
+    "metadata value a number": lambda p: p.update(metadata={"note": 3}),
+    "metadata a list": lambda p: p.update(metadata=["ab"]),
+    "metadata value 1e999": lambda p: p.update(metadata={"note": OVERFLOW}),
 }
 
 
@@ -747,13 +774,35 @@ def test_non_finite_memory_is_not_saved(tmp_path, value):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-def test_document_that_is_not_strict_json_is_refused(tmp_path, token):
+@pytest.mark.parametrize(
+    "token, value",
+    [("NaN", np.nan), ("Infinity", np.inf), ("-Infinity", -np.inf), ("1e999", OVERFLOW)],
+    ids=["NaN", "Infinity", "-Infinity", "1e999"],
+)
+def test_document_that_is_not_strict_json_is_refused(tmp_path, token, value):
     # Even a checksum over the lax encoding does not make it a document.
     path = tmp_path / "model.json"
     save_model(_trained_model(), path)
-    _resave(path, lambda p: p["memory"]["mu"][0].__setitem__(0, float(token)))
+    _resave(path, lambda p: p["memory"]["mu"][0].__setitem__(0, value))
     assert token in path.read_text()
+    with pytest.raises(IntegrityError, match="strict JSON"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", ["NaN", "1e999", "0"])
+def test_document_with_a_third_key_is_refused(tmp_path, value):
+    path = tmp_path / "model.json"
+    save_model(_trained_model(), path)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("}\n")
+    path.write_text(text[:-2] + f',"extra":{value}}}\n')
+    with pytest.raises(IntegrityError, match="not a model document"):
+        load_model(path)
+
+
+def test_document_nested_too_deep_is_an_integrity_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(IntegrityError, match="strict JSON"):
         load_model(path)
 

@@ -12,6 +12,7 @@ from emn.errors import (
     DimensionError,
     LabelRangeError,
     MissingLabelsError,
+    NonFiniteError,
     UsageError,
 )
 from emn.harness import (
@@ -220,6 +221,22 @@ class TestGnbBaseline:
             baseline_gnb_eval(
                 baseline_gnb_train(src), FeatureDataset(src.features[:, :-1], src.labels)
             )
+
+    def test_overflowing_class_variance_is_a_data_error(self):
+        # One class's rows near 1e200 square past the float range.
+        rng = np.random.default_rng(11)
+        feats = rng.normal(size=(40, 3))
+        labels = np.arange(40) % 2
+        feats[labels == 1] *= 1e200
+        with pytest.raises(NonFiniteError, match="not finite"):
+            baseline_gnb_train(FeatureDataset(feats, labels))
+
+    def test_overflowing_score_is_a_data_error(self):
+        src, _ = _task(9)
+        feats = src.features.copy()
+        feats[5, 2] = 1e300
+        with pytest.raises(NonFiniteError, match="row 5"):
+            baseline_gnb_eval(baseline_gnb_train(src), FeatureDataset(feats, src.labels))
 
     def test_deterministic(self):
         src, _ = _task(9)
