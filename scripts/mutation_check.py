@@ -42,6 +42,12 @@ _FAULT = "tests/test_dataio.py::test_structurally_bad_document_is_an_integrity_e
 _SOUND = "tests/test_memory.py::TestSoundStore"
 _EMNF = "tests/test_dataio.py::TestEmnf"
 _GNB = "tests/test_harness.py::TestGnbBaseline"
+_ADAPTATION = "src/emn/adaptation.py"
+_LABEL_RULE = "tests/test_memory.py::TestLabelRule"
+_HELD_OUT = (
+    "tests/test_adaptation.py::TestAdapt::"
+    "test_held_out_labels_outside_the_label_rule_are_refused_before_anything_is_written"
+)
 
 MUTANTS = (
     # Memory values: the store and update checks and the update's errstate.
@@ -122,11 +128,53 @@ MUTANTS = (
         ("tests/test_dataio.py::test_document_nested_too_deep_is_an_integrity_error",
          "tests/test_cli.py::test_model_nested_too_deep_is_a_model_error"),
     ),
+    # Labels: integers (no truncating cast), in [0, C) wherever they are read.
+    Mutant(
+        "labels are integers", _MEMORY,
+        "    if not ok:\n        raise LabelRangeError",
+        "    if False:\n        raise LabelRangeError",
+        (f"{_LABEL_RULE}::test_integer_labels_refuses_other_values",
+         "tests/test_memory.py::TestSupervisedUpdate::test_non_integer_labels_are_refused",
+         "tests/test_dataio.py::test_dataset_refuses_non_integer_labels"),
+    ),
+    Mutant(
+        "dataset labels are integers", _DATAIO,
+        "            self.labels = integer_labels(self.labels)",
+        "            self.labels = np.asarray(self.labels, dtype=np.int64)",
+        ("tests/test_dataio.py::test_dataset_refuses_non_integer_labels",),
+    ),
+    Mutant(
+        "update labels are integers", _MEMORY,
+        "    labels = integer_labels(labels)\n",
+        "    labels = labels.astype(np.int64)\n",
+        ("tests/test_memory.py::TestSupervisedUpdate::test_non_integer_labels_are_refused",),
+    ),
+    Mutant(
+        "held-out labels are integers", _ADAPTATION,
+        "        held_out = integer_labels(held_out)",
+        "        pass",
+        (f"{_HELD_OUT}[fraction]", f"{_HELD_OUT}[bool]"),
+    ),
+    Mutant(
+        "held-out label range", _ADAPTATION,
+        "        check_label_range(held_out, model.class_count)",
+        "        pass",
+        (f"{_HELD_OUT}[class count]", f"{_HELD_OUT}[negative]",
+         "tests/test_cli.py::test_adapt_on_held_out_labels_outside_the_rule_writes_nothing"),
+    ),
+    Mutant(
+        "evaluated label range", "src/emn/harness.py",
+        "    check_label_range(labels, class_count)",
+        "    pass",
+        ("tests/test_harness.py::TestEvaluate::test_class_count_mismatch",
+         "tests/test_harness.py::TestEvaluate::test_negative_label_rejected",
+         "tests/test_cli.py::test_eval_negative_label_is_a_data_error"),
+    ),
     # Bounds on what input may ask for.
     Mutant(
         "label cap MAX_CLASSES", _DATAIO,
-        "        if self.labels.max() >= MAX_CLASSES:",
-        "        if False:",
+        "        check_label_range(self.labels, MAX_CLASSES)",
+        "        check_label_range(self.labels, np.inf)",
         ("tests/test_dataio.py::test_label_class_count_rejects_labels_of_max_classes_or_more",
          "tests/test_cli.py::test_train_on_a_label_of_max_classes_or_more_is_a_data_error"),
     ),

@@ -21,7 +21,8 @@ import numpy as np
 from emn.dataio import write_memory_csv
 from emn.errors import ConfigError, DimensionError
 from emn.inference import EmnModel, feature_signals, labels_from_signals
-from emn.memory import batched_updates, reinforced_update
+from emn.memory import batched_updates, check_label_range, integer_labels
+from emn.memory import reinforced_update
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,10 @@ def adapt(
     snapshot_dir: str | Path | None = None,
 ) -> AdaptationHistory:
     """Run reinforced memorization for cfg.epochs with the model's beta and
-    batch size; mutates model in place."""
+    batch size; mutates model in place. Held-out labels, which only score
+    each epoch, must be shaped (rows,) (``DimensionError``) and be integers
+    in [0, class_count) (``LabelRangeError``); both are checked before the
+    store, the snapshot directory or any file is touched."""
     signals = feature_signals(model, X_target)
     return _adapt(model, signals, cfg, held_out_labels, snapshot_dir)
 
@@ -79,9 +83,13 @@ def _adapt(model, signals, cfg, held_out_labels, snapshot_dir) -> AdaptationHist
     """``adapt`` on the target's memory signals, a pure function of the
     topology and the rows: pseudo labels and updates reuse them all run."""
     n = signals.shape[0]
-    held_out = None if held_out_labels is None else np.asarray(held_out_labels)
-    if held_out is not None and held_out.shape != (n,):
-        raise DimensionError(f"held-out labels must be shaped ({n},)")
+    held_out = None
+    if held_out_labels is not None:
+        held_out = np.asarray(held_out_labels)
+        if held_out.shape != (n,):
+            raise DimensionError(f"held-out labels must be shaped ({n},)")
+        held_out = integer_labels(held_out)
+        check_label_range(held_out, model.class_count)
 
     # The labels after epoch e's update are both its held-out predictions
     # and epoch e+1's pseudo labels (same store, same signals), so the

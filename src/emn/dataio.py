@@ -55,6 +55,7 @@ from emn.errors import (
 )
 from emn.inference import EmnModel, check_finite_rows
 from emn.memory import MAX_CLASSES, HyperParams, MemoryStore
+from emn.memory import check_label_range, integer_labels
 from emn.topology import NetworkTopology, TopologyConfig, split_views
 
 EMNF_MAGIC = b"EMNF"
@@ -76,7 +77,7 @@ class FeatureDataset:
             raise DimensionError("features must be a 2-D matrix")
         check_finite_rows(self.features, "features must be finite")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = integer_labels(self.labels)
             if self.labels.shape != (self.features.shape[0],):
                 raise DimensionError("label count must equal sample count")
 
@@ -92,10 +93,7 @@ class FeatureDataset:
         """Largest label + 1: the class count a labeled training set implies."""
         if self.labels is None or not self.labels.size:
             raise MissingLabelsError("training requires labeled rows")
-        if self.labels.min() < 0:
-            raise LabelRangeError("labels must be non-negative")
-        if self.labels.max() >= MAX_CLASSES:
-            raise LabelRangeError(f"labels must be below {MAX_CLASSES} (MAX_CLASSES)")
+        check_label_range(self.labels, MAX_CLASSES)
         return int(self.labels.max()) + 1
 
 

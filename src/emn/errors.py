@@ -28,7 +28,8 @@ class DimensionError(EmnError):
 
 
 class LabelRangeError(EmnError):
-    """A label lies outside [0, class_count)."""
+    """A label is not an integer (a float with a fraction, a bool, a string),
+    or lies outside [0, class_count)."""
     exit_code = 3
 
 
@@ -39,11 +40,6 @@ class NotTrainedError(EmnError):
 
 class MissingLabelsError(EmnError):
     """Labeled data required but labels are absent."""
-    exit_code = 3
-
-
-class ClassCountMismatch(EmnError):
-    """Dataset class count differs from the model's."""
     exit_code = 3
 
 

@@ -12,10 +12,8 @@ from emn import propagation
 from emn.adaptation import AdaptationConfig, AdaptationHistory, _adapt, adapt, pseudo_label
 from emn.dataio import FeatureDataset
 from emn.errors import (
-    ClassCountMismatch,
     ConfigError,
     DimensionError,
-    LabelRangeError,
     MissingLabelsError,
     NonFiniteError,
     UsageError,
@@ -40,10 +38,7 @@ def _report(dataset: FeatureDataset, class_count: int, predict) -> EvalReport:
     labels = dataset.labels
     if labels is None:
         raise MissingLabelsError("evaluation requires labels")
-    if labels.size and labels.min() < 0:
-        raise LabelRangeError("labels must be non-negative")
-    if labels.size and labels.max() >= class_count:
-        raise ClassCountMismatch(f"dataset labels exceed class count {class_count}")
+    check_label_range(labels, class_count)
     preds = predict(dataset.features)
     confusion = np.zeros((class_count, class_count), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)

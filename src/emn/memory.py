@@ -15,6 +15,11 @@ finite and sigma small enough not to overflow the density's scale. A
 update checks the block it is about to write (``NonFiniteError``, the store
 left untouched), so only a direct write into the arrays can break the rule.
 
+A label is the index of the class a row trains or is scored against.
+``integer_labels`` (integers, never a truncating cast) and
+``check_label_range`` ([0, class_count)) are the one label rule, applied to
+datasets, both updates, evaluation and adaptation's held-out labels.
+
 ``supervised_update`` and ``reinforced_update`` (driven by the epoch loop
 of ``emn.adaptation``) share one batch EMA with temperature
 ``HyperParams.beta``: supervised rows weigh 1, reinforced rows their
@@ -50,6 +55,7 @@ MAX_CLASSES = 1 << 16  # bounds the memory a class count can ask of init_memory
 BATCH_DIVISORS = ("class", "batch", "confidence")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_INT64_MAX = np.uint64(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -144,13 +150,34 @@ def _check_batch(store: MemoryStore, signals: np.ndarray, labels: np.ndarray):
         )
     if labels.shape != (signals.shape[0],):
         raise DimensionError("labels must align with signal rows")
+    labels = integer_labels(labels)
     check_label_range(labels, store.class_count)
-    return signals, labels.astype(np.int64)
+    return signals, labels
+
+
+def integer_labels(values) -> np.ndarray:
+    """``values`` as int64 labels: an integer array, or a float array whose
+    values are finite, integral and within int64. Any other array (bool,
+    string, object, or a uint64 value above the int64 maximum) raises
+    ``LabelRangeError`` rather than being truncated."""
+    labels = np.asarray(values)
+    kind = labels.dtype.kind
+    if kind == "f":
+        bound = np.float64(2.0**63)  # int64 holds [-bound, bound); NaN fails all
+        ok = ((labels >= -bound) & (labels < bound) & (np.trunc(labels) == labels)).all()
+    elif kind == "u":
+        ok = not labels.size or labels.max() <= _INT64_MAX
+    else:
+        ok = kind == "i"
+    if not ok:
+        raise LabelRangeError("labels must be integers")
+    return labels.astype(np.int64, copy=False)
 
 
 def check_label_range(labels: np.ndarray, class_count: int) -> None:
+    """The one label rule: every label lies in [0, class_count)."""
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise LabelRangeError(f"labels must lie in [0, {class_count})")
+        raise LabelRangeError(f"labels must be non-negative and below {class_count}")
 
 
 class _ClassBlocks:

@@ -10,7 +10,7 @@ from emn.adaptation import (
     pseudo_label,
     reinforced_update,
 )
-from emn.errors import ConfigError, DimensionError, NotTrainedError
+from emn.errors import ConfigError, DimensionError, LabelRangeError, NotTrainedError
 from emn.inference import EmnModel, build_model, labels_from_signals, predict_batch
 from emn.memory import HyperParams, batched_updates, init_memory, supervised_update
 from emn.propagation import propagate_batch
@@ -204,18 +204,46 @@ class TestAdapt:
         for name in ("mu", "sigma", "initialized"):
             assert np.array_equal(getattr(model.store, name), getattr(before, name))
 
+    @staticmethod
+    def _refused_before_anything_is_written(tmp_path, held_out, error):
+        model, X, _ = _trained_model(seed=6)
+        before = model.store.copy()
+        snaps = tmp_path / "snaps"
+        with pytest.raises(error):
+            adapt(model, X[:60], AdaptationConfig(epochs=2), held_out, snaps)
+        assert not snaps.exists()
+        for name in ("mu", "sigma", "initialized"):
+            assert np.array_equal(getattr(model.store, name), getattr(before, name))
+
     @pytest.mark.parametrize("shape", [(5,), (61,), (60, 1), ()])
     def test_misshaped_held_out_labels_are_refused_before_anything_is_written(
         self, tmp_path, shape
     ):
-        model, X, _ = _trained_model(seed=6)
-        before = model.store.copy()
-        snaps = tmp_path / "snaps"
-        with pytest.raises(DimensionError):
-            adapt(model, X[:60], AdaptationConfig(epochs=2), np.zeros(shape, int), snaps)
-        assert not snaps.exists()
-        for name in ("mu", "sigma", "initialized"):
-            assert np.array_equal(getattr(model.store, name), getattr(before, name))
+        self._refused_before_anything_is_written(
+            tmp_path, np.zeros(shape, int), DimensionError
+        )
+
+    @pytest.mark.parametrize(
+        "last",
+        [3, -1, 2**40, 0.5, np.nan, True],
+        ids=["class count", "negative", "huge", "fraction", "nan", "bool"],
+    )
+    def test_held_out_labels_outside_the_label_rule_are_refused_before_anything_is_written(
+        self, tmp_path, last
+    ):
+        # The model has 3 classes; one bad label among 59 zeros.
+        held_out = np.zeros(60, dtype=np.asarray(last).dtype)
+        held_out[-1] = last
+        self._refused_before_anything_is_written(tmp_path, held_out, LabelRangeError)
+
+    def test_integral_float_held_out_labels_score_as_integers(self):
+        model, X, y = _trained_model(seed=6)
+        twin = EmnModel(model.topology, model.store.copy(), model.class_count, model.hyper)
+        cfg = AdaptationConfig(epochs=3)
+        want = adapt(model, X, cfg, y)
+        got = adapt(twin, X, cfg, y.astype(np.float64))
+        assert [r.accuracy for r in got.records] == [r.accuracy for r in want.records]
+        assert np.array_equal(twin.store.mu, model.store.mu)
 
 
 def _reference_adapt(model, X, cfg, held_out):

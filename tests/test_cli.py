@@ -622,6 +622,26 @@ def test_snapshot_dir_an_existing_file_is_a_data_error(
     assert not adapted.exists()
 
 
+@pytest.mark.parametrize(
+    "labels", [["7", "-1"], ["0", "3"], ["0", "0.5"]], ids=["7 and -1", "3", "0.5"]
+)
+def test_adapt_on_held_out_labels_outside_the_rule_writes_nothing(
+    model_file, tmp_path, capsys, labels
+):
+    # The model has 3 classes; eval refuses these labels, and so must adapt.
+    tgt = tmp_path / "bad.csv"
+    header = ",".join(f"f{i}" for i in range(8)) + ",label\n"
+    tgt.write_text(header + "".join("0.0," * 8 + label + "\n" for label in labels))
+    adapted, snaps = tmp_path / "adapted.json", tmp_path / "snaps"
+    code, out, err = _run(
+        capsys, "adapt", "--model", str(model_file), "--target", str(tgt),
+        "--out", str(adapted), "--epochs", "1", "--snapshot-dir", str(snaps),
+    )
+    _assert_one_error_line(code, err)
+    assert out == ""
+    assert not adapted.exists() and not snaps.exists()
+
+
 def test_export_memory_writes_to_standard_output(model_file, tmp_path, capsys):
     out_path = tmp_path / "memory.csv"
     _run(capsys, "export-memory", "--model", str(model_file), "--out", str(out_path))

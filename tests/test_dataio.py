@@ -844,6 +844,23 @@ def test_dataset_rejects_non_finite_features(value):
     FeatureDataset(np.full((2, 3), 1e300))  # large but finite is accepted
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [[0.5, 1.7], [True, False], ["1", "0"], [0.0, np.nan], np.array([0, 2**63], np.uint64)],
+    ids=["fractions", "bools", "strings", "nan", "uint64 2**63"],
+)
+def test_dataset_refuses_non_integer_labels(labels):
+    # A cast to int64 would truncate these to [0, 1], [1, 0], [1, 0], ...
+    with pytest.raises(LabelRangeError, match="labels must be integers"):
+        FeatureDataset(np.zeros((2, 2)), labels)
+
+
+def test_dataset_reads_integral_float_labels_as_integers():
+    ds = FeatureDataset(np.zeros((2, 2)), [0.0, 2.0])
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 2]
+    assert FeatureDataset(np.zeros((0, 2)), []).labels.dtype == np.int64
+
+
 @pytest.mark.parametrize("labels", [[-1, -1], [-1, 0, 2]])
 def test_label_class_count_rejects_negative_labels(labels):
     ds = FeatureDataset(np.zeros((len(labels), 2)), labels)

@@ -7,7 +7,6 @@ from emn import propagation
 from emn.adaptation import AdaptationConfig, adapt
 from emn.dataio import FeatureDataset, SynthConfig, synth_shifted_blobs
 from emn.errors import (
-    ClassCountMismatch,
     ConfigError,
     DimensionError,
     LabelRangeError,
@@ -136,7 +135,7 @@ class TestEvaluate:
     def test_class_count_mismatch(self):
         model, src, _ = _trained(4)
         bad = FeatureDataset(src.features, np.full(src.n_samples, 5))
-        with pytest.raises(ClassCountMismatch):
+        with pytest.raises(LabelRangeError):
             evaluate(model, bad)
 
     def test_negative_label_rejected(self):

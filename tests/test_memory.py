@@ -23,7 +23,9 @@ from emn.memory import (
     HyperParams,
     MemoryStore,
     batched_updates,
+    check_label_range,
     init_memory,
+    integer_labels,
     log_likelihood,
     reinforced_update,
     sound,
@@ -91,6 +93,21 @@ class TestInit:
             init_memory(4, 2, HyperParams(beta=1.0))
         with pytest.raises(ConfigError):
             init_memory(4, 2, HyperParams(sigma1=0.0))
+
+
+NON_INTEGER_LABELS = [
+    np.array([0.9, 2.5]),
+    np.array([0.0, np.nan]),
+    np.array([0.0, np.inf]),
+    np.array([0.0, 2.0**63]),
+    np.array([True, False]),
+    np.array(["1", "0"]),
+    np.array([1, None], dtype=object),
+    np.array([0, 2**63], dtype=np.uint64),
+]
+NON_INTEGER_IDS = [
+    "fractions", "nan", "inf", "float 2**63", "bools", "strings", "objects", "uint64 2**63"
+]
 
 
 class TestSupervisedUpdate:
@@ -161,6 +178,49 @@ class TestSupervisedUpdate:
             labels = rng.integers(0, 3, size=6)
             supervised_update(store, signals, labels)
             assert np.all(store.sigma >= 0.0)
+
+    @pytest.mark.parametrize("update", [supervised_update, reinforced_update])
+    @pytest.mark.parametrize("labels", NON_INTEGER_LABELS, ids=NON_INTEGER_IDS)
+    def test_non_integer_labels_are_refused(self, update, labels):
+        # A truncating cast would train classes 0 and 2 on [0.9, 2.5].
+        store = init_memory(2, 3)
+        store.mu[:], store.sigma[:], store.initialized[:] = 1.0, 1.0, True
+        before = _store_bytes(store)
+        with pytest.raises(LabelRangeError, match="integers"):
+            update(store, np.ones((2, 2)), labels)
+        assert _store_bytes(store) == before
+
+
+class TestLabelRule:
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([0.0, 2.0], [0, 2]),
+            ([], []),
+            (np.array([3, 1], dtype=np.uint8), [3, 1]),
+            (np.array([2**63 - 1], dtype=np.uint64), [2**63 - 1]),
+            (np.array([-(2.0**63), 7.0], dtype=np.float32), [-(2**63), 7]),
+            (np.array([5, 0], dtype=np.int32), [5, 0]),
+        ],
+    )
+    def test_integer_labels_accepts_integral_values(self, values, want):
+        labels = integer_labels(values)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == want
+
+    def test_int64_labels_are_not_copied(self):
+        labels = np.array([0, 1], dtype=np.int64)
+        assert integer_labels(labels) is labels
+
+    @pytest.mark.parametrize("labels", NON_INTEGER_LABELS, ids=NON_INTEGER_IDS)
+    def test_integer_labels_refuses_other_values(self, labels):
+        with pytest.raises(LabelRangeError, match="labels must be integers"):
+            integer_labels(labels)
+
+    @pytest.mark.parametrize("labels", [[-1, 0], [0, 3], [2**62]])
+    def test_labels_outside_zero_to_class_count_are_refused(self, labels):
+        with pytest.raises(LabelRangeError, match="non-negative and below 3"):
+            check_label_range(np.array(labels), 3)
 
 
 def _store_bytes(store):
