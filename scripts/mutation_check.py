@@ -44,6 +44,7 @@ _EMNF = "tests/test_dataio.py::TestEmnf"
 _GNB = "tests/test_harness.py::TestGnbBaseline"
 _ADAPTATION = "src/emn/adaptation.py"
 _LABEL_RULE = "tests/test_memory.py::TestLabelRule"
+_CONFIGS = "tests/test_configs.py::test_bad_value_is_refused_at_construction"
 _HELD_OUT = (
     "tests/test_adaptation.py::TestAdapt::"
     "test_held_out_labels_outside_the_label_rule_are_refused_before_anything_is_written"
@@ -170,6 +171,31 @@ MUTANTS = (
          "tests/test_harness.py::TestEvaluate::test_negative_label_rejected",
          "tests/test_cli.py::test_eval_negative_label_is_a_data_error"),
     ),
+    # JSON kinds: one table, read by the configs and the loader.
+    Mutant(
+        "JSON kind excludes bool", "src/emn/errors.py",
+        ' and (kind == "bool" or cls is not bool)',
+        "",
+        (f"{_CONFIGS}[HyperParams-('batch_size', True)]",
+         f"{_CONFIGS}[HyperParams-('sigma1', True)]",
+         f"{_FAULT}[edge id a boolean]", f"{_FAULT}[sigma a boolean]"),
+    ),
+    Mutant(
+        "HyperParams field kinds", _MEMORY,
+        "        check_field_kinds(self)\n",
+        "",
+        (f"{_CONFIGS}[HyperParams-('rounds', 2.0)]",
+         f"{_CONFIGS}[HyperParams-('fuzzy_enabled', 'no')]",
+         f"{_FAULT}[fuzzy flag a string]", f"{_FAULT}[rounds a float]"),
+    ),
+    Mutant(
+        "TopologyConfig field kinds", "src/emn/topology.py",
+        "        check_field_kinds(self)\n",
+        "",
+        (f"{_CONFIGS}[TopologyConfig-('seed', np.int64(3))]",
+         f"{_CONFIGS}[TopologyConfig-('hub_count', 3.5)]",
+         f"{_FAULT}[feature dim a float]"),
+    ),
     # Bounds on what input may ask for.
     Mutant(
         "label cap MAX_CLASSES", _DATAIO,
@@ -183,6 +209,16 @@ MUTANTS = (
         "    if not 1 <= class_count <= MAX_CLASSES:",
         "    if not 1 <= class_count:",
         ("tests/test_memory.py::TestInit::test_class_count_is_at_most_max_classes",),
+    ),
+    Mutant(
+        "every class has a training row", _DATAIO,
+        "        if empty.size:",
+        "        if False:",
+        ("tests/test_dataio.py::test_label_class_count_requires_a_row_of_every_class",
+         "tests/test_cli.py::test_train_on_source_missing_a_class_writes_no_model",
+         "tests/test_harness.py::TestAblation::"
+         "test_source_missing_a_class_is_refused_before_propagation",
+         f"{_GNB}::test_source_missing_a_class_is_refused"),
     ),
     Mutant(
         "rounds cap MAX_ROUNDS", _MEMORY,

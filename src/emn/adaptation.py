@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from emn.dataio import write_memory_csv
-from emn.errors import ConfigError, DimensionError
+from emn.errors import ConfigError, DimensionError, as_array, check_field_kinds
 from emn.inference import EmnModel, feature_signals, labels_from_signals
 from emn.memory import batched_updates, check_label_range, integer_labels
 from emn.memory import reinforced_update
@@ -31,6 +31,7 @@ class AdaptationConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.shuffle_seed < 0:
@@ -85,7 +86,7 @@ def _adapt(model, signals, cfg, held_out_labels, snapshot_dir) -> AdaptationHist
     n = signals.shape[0]
     held_out = None
     if held_out_labels is not None:
-        held_out = np.asarray(held_out_labels)
+        held_out = as_array(held_out_labels, "held-out labels")
         if held_out.shape != (n,):
             raise DimensionError(f"held-out labels must be shaped ({n},)")
         held_out = integer_labels(held_out)

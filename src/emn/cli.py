@@ -155,8 +155,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     source = read_dataset(args.source, args.format)
-    seen = source.label_class_count()  # refuses an empty source, --classes or not
-    class_count = seen if args.classes is None else args.classes
+    class_count = source.label_class_count()  # refuses a source missing a class
     topo_cfg = _topo_from(args, source.dim)
     model = build_model(topo_cfg, class_count, _hyper_from(args), {"trained_on": "source"})
     train_supervised(model, source, shuffle_seed=topo_cfg.seed)
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--source", required=True)
     p.add_argument("--model", required=True, help="output model path")
-    _add_values(p, int, "--classes", "--hub", "--bridging", "--in-degree")
+    _add_values(p, int, "--hub", "--bridging", "--in-degree")
     _add_values(p, int, "--rounds", "--batch-size", "--seed")
     _add_values(p, float, "--beta", "--sigma1")
     _add_values(p, bool, "--no-fuzzy", "--no-confidence")

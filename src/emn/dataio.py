@@ -22,12 +22,12 @@ Formats:
     overflowing literal such as ``1e999``) has no canonical text, and a
     document nested too deep to parse is refused as well. Schema 2 is
     written; schema 1, which held the batch divisor as two flags, is read
-    through ``_schema1_hyper``. Loading checks the document's own rules:
-    every value's JSON type (one table, ``_JSON_TYPES``, for config
-    fields, ``class_count``, edges, weights, mu, sigma, the 0/1
-    ``initialized`` flags and the metadata object of strings). The
-    topology and the memory store check their structure and values
-    themselves when built.
+    through ``_schema1_hyper``. Every value's JSON kind is decided by one
+    table, ``emn.errors.JSON_KINDS``: the configs check their own fields
+    when built, and loading checks ``class_count``, edges, weights, mu,
+    sigma, the 0/1 ``initialized`` flags and the metadata object of strings
+    against it. The topology and the memory store check their structure
+    and values themselves when built.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -52,6 +52,9 @@ from emn.errors import (
     SchemaVersionError,
     TruncationError,
     VersionError,
+    as_array,
+    check_field_kinds,
+    is_json_kind,
 )
 from emn.inference import EmnModel, check_finite_rows
 from emn.memory import MAX_CLASSES, HyperParams, MemoryStore
@@ -72,7 +75,7 @@ class FeatureDataset:
     labels: np.ndarray | None = None  # int64 or None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = as_array(self.features, "features", np.float64)
         if self.features.ndim != 2:
             raise DimensionError("features must be a 2-D matrix")
         check_finite_rows(self.features, "features must be finite")
@@ -90,10 +93,15 @@ class FeatureDataset:
         return self.features.shape[1]
 
     def label_class_count(self) -> int:
-        """Largest label + 1: the class count a labeled training set implies."""
+        """Largest label + 1: the class count a labeled training set implies.
+        Every class below it must have a row (``MissingLabelsError`` names
+        the first that has none), so training initializes every class."""
         if self.labels is None or not self.labels.size:
             raise MissingLabelsError("training requires labeled rows")
         check_label_range(self.labels, MAX_CLASSES)
+        empty = np.flatnonzero(np.bincount(self.labels) == 0)
+        if empty.size:
+            raise MissingLabelsError(f"training requires a row of class {empty[0]}")
         return int(self.labels.max()) + 1
 
 
@@ -256,6 +264,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
         if self.class_count < 2:
             raise ConfigError("class_count must be >= 2")
         if self.dim < 1 or self.samples_per_class < 1:
@@ -373,26 +382,10 @@ def load_model(path) -> EmnModel:
         raise IntegrityError(f"{path}: {exc}") from None
 
 
-# The JSON types that may stand for a payload value, by the type it loads
-# as: an integer may stand for a float, and a bool stands only for a bool.
-_JSON_TYPES = {
-    "int": {int}, "float": {int, float}, "bool": {bool}, "str": {str}, "object": {dict}
-}
-
-
 def _check_types(values, kind: str, name: str, path) -> None:
     """``IntegrityError`` unless each of ``values`` is a JSON ``kind``."""
-    if not set(map(type, values)) <= _JSON_TYPES[kind]:
+    if not all(is_json_kind(cls, kind) for cls in set(map(type, values))):
         raise IntegrityError(f"{path}: {name} must be a JSON {kind}")
-
-
-def _config(cls, values: dict, path):
-    """``cls(**values)``, each value a JSON value of its field's type;
-    annotations are postponed, so a field's type is its name."""
-    for f in fields(cls):
-        if f.name in values:
-            _check_types([values[f.name]], f.type, f.name, path)
-    return cls(**values)
 
 
 def _schema1_hyper(hyper: dict, path) -> dict:
@@ -418,8 +411,9 @@ def _schema1_hyper(hyper: dict, path) -> dict:
 
 
 def _model_from_payload(payload: dict, path) -> EmnModel:
-    tcfg = _config(TopologyConfig, payload["topology"]["config"], path)
-    hyper = _config(HyperParams, payload["hyper"], path)
+    # The configs check their own fields' kinds (ConfigError).
+    tcfg = TopologyConfig(**payload["topology"]["config"])
+    hyper = HyperParams(**payload["hyper"])
     edges, weights = payload["topology"]["edges"], payload["topology"]["weights"]
     ids = list(chain.from_iterable(edges))
     flat_weights = list(chain.from_iterable(weights))

@@ -17,6 +17,8 @@ from emn.errors import (
     MissingLabelsError,
     NonFiniteError,
     UsageError,
+    check_field_kinds,
+    check_kind,
 )
 from emn.inference import EmnModel, check_finite_rows, labels_from_signals, predict_batch
 from emn.memory import HyperParams, batched_updates, check_label_range, log_likelihood
@@ -62,10 +64,11 @@ class BenchConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
         if self.repetitions < 1:
-            raise UsageError("repetitions must be >= 1")
+            raise ConfigError("repetitions must be >= 1")
         if self.shuffle_seed < 0:
-            raise UsageError("shuffle_seed must be non-negative")
+            raise ConfigError("shuffle_seed must be non-negative")
 
 
 @dataclass
@@ -148,17 +151,16 @@ _GNB_DENSITY = HyperParams(fuzzy_enabled=False)
 
 def baseline_gnb_train(dataset: FeatureDataset) -> GnbModel:
     """Per-class feature means and variances (floored at ``_VAR_FLOOR``);
-    ``NonFiniteError`` when one of them overflows."""
+    ``NonFiniteError`` when one of them overflows. Every class has a row
+    (``label_class_count``)."""
     C = dataset.label_class_count()
-    dim = dataset.dim
-    mu = np.zeros((C, dim))
-    var = np.ones((C, dim))
+    mu = np.empty((C, dataset.dim))
+    var = np.empty((C, dataset.dim))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(C):
             rows = dataset.features[dataset.labels == k]
-            if rows.size:
-                mu[k] = rows.mean(axis=0)
-                var[k] = np.maximum(rows.var(axis=0), GnbModel._VAR_FLOOR)
+            mu[k] = rows.mean(axis=0)
+            var[k] = np.maximum(rows.var(axis=0), GnbModel._VAR_FLOOR)
     if not (np.isfinite(mu).all() and np.isfinite(var).all()):
         raise NonFiniteError("GNB baseline: class mean or variance is not finite")
     return GnbModel(mu, var, C)
@@ -192,6 +194,7 @@ def train_supervised(
     batches before it stay applied."""
     if source.labels is None:
         raise MissingLabelsError("supervised training requires labels")
+    check_kind("shuffle_seed", shuffle_seed, "int")
     if shuffle_seed < 0:
         raise ConfigError("shuffle_seed must be non-negative")
     check_label_range(source.labels, model.class_count)
@@ -228,6 +231,7 @@ def run_ablation(
     and each dataset is propagated once."""
     if source.labels is None or target.labels is None:
         raise MissingLabelsError("ablation requires labeled source and target")
+    check_kind("train_seed", train_seed, "int")
     if train_seed < 0:
         raise ConfigError("train_seed must be non-negative")
     base_hyper = base_hyper or HyperParams()

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from emn.errors import ConfigError, DimensionError, IntegrityError, NonFiniteError
+from emn.errors import as_array
 from emn.memory import (
     CONFIDENCE_FLOOR,
     HyperParams,
@@ -171,7 +172,7 @@ def check_finite_rows(rows: np.ndarray, problem: str) -> None:
 
 def feature_signals(model: EmnModel, X) -> np.ndarray:
     """Memory signals of a 2-D batch of finite feature rows."""
-    X = np.asarray(X, dtype=np.float64)
+    X = as_array(X, "features", np.float64)
     if X.ndim != 2:
         raise DimensionError(f"expected a 2-D batch, got shape {X.shape}")
     check_finite_rows(X, "features must be finite")
@@ -209,7 +210,7 @@ def predict_batch(model: EmnModel, X) -> list[Prediction]:
 
 
 def predict(model: EmnModel, x) -> Prediction:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_1d(as_array(x, "features", np.float64))
     if x.ndim != 1:
         raise DimensionError("predict expects a single feature vector")
     return predict_batch(model, x[None, :])[0]

@@ -45,6 +45,8 @@ from emn.errors import (
     LabelRangeError,
     NonFiniteError,
     NotTrainedError,
+    as_array,
+    check_field_kinds,
 )
 
 CONFIDENCE_FLOOR = float(np.finfo(np.float64).tiny)
@@ -69,6 +71,7 @@ class HyperParams:
     batch_divisor: str = "class"
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
         # Only the blurred density reads sigma1, but every document holds it.
@@ -142,8 +145,8 @@ def init_memory(
 
 
 def _check_batch(store: MemoryStore, signals: np.ndarray, labels: np.ndarray):
-    signals = np.asarray(signals, dtype=np.float64)
-    labels = np.asarray(labels)
+    signals = as_array(signals, "signals", np.float64)
+    labels = as_array(labels, "labels")
     if signals.ndim != 2 or signals.shape[1] != store.node_count:
         raise DimensionError(
             f"expected signals with {store.node_count} columns, got {signals.shape}"
@@ -159,8 +162,9 @@ def integer_labels(values) -> np.ndarray:
     """``values`` as int64 labels: an integer array, or a float array whose
     values are finite, integral and within int64. Any other array (bool,
     string, object, or a uint64 value above the int64 maximum) raises
-    ``LabelRangeError`` rather than being truncated."""
-    labels = np.asarray(values)
+    ``LabelRangeError`` rather than being truncated; a ragged list raises
+    ``DimensionError``."""
+    labels = as_array(values, "labels")
     kind = labels.dtype.kind
     if kind == "f":
         bound = np.float64(2.0**63)  # int64 holds [-bound, bound); NaN fails all

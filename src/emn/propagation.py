@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from emn.errors import ConfigError, DimensionError
+from emn.errors import ConfigError, DimensionError, as_array
 from emn.topology import NetworkTopology
 
 _scopes: ContextVar[tuple[list[int], ...]] = ContextVar("forward_rows", default=())
@@ -219,7 +219,7 @@ def _check_input(topology: NetworkTopology, x, T: int, single: bool) -> np.ndarr
     """``x`` as float64 rows: one vector or one row if ``single``, else 2-D."""
     if T < 1:
         raise ConfigError(f"round count T must be >= 1, got {T}")
-    X = np.asarray(x, dtype=np.float64)
+    X = as_array(x, "features", np.float64)
     if single and X.ndim < 2:
         X = X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != topology.feature_dim:

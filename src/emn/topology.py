@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from emn.errors import ConfigError
+from emn.errors import ConfigError, check_field_kinds
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class TopologyConfig:
         return self.feature_dim + self.hub_count + self.bridging_count
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be positive")
         if self.hub_count < 1:

@@ -270,16 +270,26 @@ def empty_labeled(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("classes", [[], ["--classes", "3"]])
-def test_train_on_empty_source_is_a_data_error(
-    empty_labeled, tmp_path, capsys, classes
-):
+def test_train_on_empty_source_is_a_data_error(empty_labeled, tmp_path, capsys):
     code, _, err = _run(
         capsys, "train", "--source", str(empty_labeled),
-        "--model", str(tmp_path / "m.json"), *classes,
+        "--model", str(tmp_path / "m.json"),
     )
     assert code == 3
     assert "labeled rows" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_on_source_missing_a_class_writes_no_model(tmp_path, capsys):
+    # Class 1 has no row, so its memories could never be trained.
+    src = tmp_path / "gap.csv"
+    src.write_text("f0,f1,label\n1.0,2.0,0\n1.5,2.5,0\n3.0,4.0,2\n3.5,4.5,2\n")
+    code, out, err = _run(
+        capsys, "train", "--source", str(src), "--model", str(tmp_path / "m.json"),
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "class 1" in err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -403,17 +413,6 @@ def test_train_on_a_label_of_max_classes_or_more_is_a_data_error(tmp_path, capsy
     )
     assert code == 3
     assert "below 65536" in err
-    assert not (tmp_path / "m.json").exists()
-
-
-def test_train_with_classes_beyond_the_cap_is_a_config_error(task_files, tmp_path, capsys):
-    src, _ = task_files
-    code, _, err = _run(
-        capsys, "train", "--source", str(src), "--model", str(tmp_path / "m.json"),
-        "--classes", "65537",
-    )
-    assert code == 2
-    assert "class_count" in err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -676,9 +675,9 @@ CONFIGURABLE = {
         "mean_scale": "0.5", "spread": "0.3", "shift": "0.4",
     },
     "train": {
-        "classes": "4", "hub": "7", "bridging": "5", "in_degree": "4",
-        "rounds": "2", "batch_size": "16", "seed": "3", "beta": "0.5",
-        "sigma1": "0.7", "no_fuzzy": True, "no_confidence": True,
+        "hub": "7", "bridging": "5", "in_degree": "4", "rounds": "2",
+        "batch_size": "16", "seed": "3", "beta": "0.5", "sigma1": "0.7",
+        "no_fuzzy": True, "no_confidence": True,
     },
     "adapt": {"epochs": "3", "batch_size": "16", "seed": "3", "beta": "0.5"},
     "bench": {"repetitions": "2", "batch_size": "16", "seed": "3", "beta": "0.5"},

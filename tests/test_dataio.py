@@ -32,6 +32,7 @@ from emn.errors import (
     IntegrityError,
     LabelRangeError,
     MagicError,
+    MissingLabelsError,
     NonFiniteError,
     ParseError,
     SchemaVersionError,
@@ -865,6 +866,15 @@ def test_dataset_reads_integral_float_labels_as_integers():
 def test_label_class_count_rejects_negative_labels(labels):
     ds = FeatureDataset(np.zeros((len(labels), 2)), labels)
     with pytest.raises(LabelRangeError):
+        ds.label_class_count()
+
+
+@pytest.mark.parametrize("labels, missing", [([0, 2], 1), ([1, 1], 0), ([3, 0, 1], 2)])
+def test_label_class_count_requires_a_row_of_every_class(labels, missing):
+    # A class without a row would keep untrained memories that every
+    # prediction refuses.
+    ds = FeatureDataset(np.zeros((len(labels), 2)), labels)
+    with pytest.raises(MissingLabelsError, match=f"class {missing}$"):
         ds.label_class_count()
 
 

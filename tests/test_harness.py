@@ -96,9 +96,10 @@ class TestTrainSupervised:
     def test_negative_seed_is_refused_before_propagation(self):
         src, _ = _task(3)
         model = build_model(TopologyConfig(8, 10, 10, 6, seed=3), 3)
-        with propagation.forward_rows() as rows, pytest.raises(ConfigError):
-            train_supervised(model, src, shuffle_seed=-1)
-        assert rows == [0]
+        for seed in (-1, 1.5):  # 1.5 is not a JSON int
+            with propagation.forward_rows() as rows, pytest.raises(ConfigError):
+                train_supervised(model, src, shuffle_seed=seed)
+            assert rows == [0]
         assert not model.store.initialized.any()
 
 
@@ -205,6 +206,12 @@ class TestGnbBaseline:
         with pytest.raises(MissingLabelsError):
             baseline_gnb_train(empty)
 
+    def test_source_missing_a_class_is_refused(self):
+        # Class 1 would keep a mean of nothing; GNB scores every class.
+        ds = FeatureDataset(np.array([[0.0], [1.0], [5.0]]), np.array([0, 0, 2]))
+        with pytest.raises(MissingLabelsError, match="class 1"):
+            baseline_gnb_train(ds)
+
     def test_negative_label_rejected(self):
         src, _ = _task(9)
         labels = src.labels.copy()
@@ -299,8 +306,18 @@ class TestAblation:
 
     def test_negative_train_seed_is_refused_before_propagation(self):
         src, tgt = _task(0)
-        with propagation.forward_rows() as rows, pytest.raises(ConfigError):
-            run_ablation(src, tgt, TopologyConfig(8, 10, 10, 6), train_seed=-1)
+        for seed in (-1, 1.5):  # 1.5 is not a JSON int
+            with propagation.forward_rows() as rows, pytest.raises(ConfigError):
+                run_ablation(src, tgt, TopologyConfig(8, 10, 10, 6), train_seed=seed)
+            assert rows == [0]
+
+    def test_source_missing_a_class_is_refused_before_propagation(self):
+        src, tgt = _task(0)
+        keep = src.labels != 1
+        gap = FeatureDataset(src.features[keep], src.labels[keep])
+        with propagation.forward_rows() as rows:
+            with pytest.raises(MissingLabelsError, match="class 1"):
+                run_ablation(gap, tgt, TopologyConfig(8, 10, 10, 6))
         assert rows == [0]
 
     def test_propagates_each_dataset_once(self):

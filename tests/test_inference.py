@@ -250,3 +250,30 @@ def test_overflowing_memory_is_a_model_error():
     signals[0] = -1e300
     with pytest.raises(NonFiniteError, match="row 0: .*features too large"):
         labels_from_signals(model, signals)
+
+
+RAGGED = [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0]]
+
+
+def _ragged_calls():
+    """Each entry point that converts a caller's nested lists, on a ragged one."""
+    model, X, y = _trained_model()
+    signals = propagate_batch(model.topology, X[:2], model.hyper.rounds)
+    return {
+        "dataset labels": lambda: FeatureDataset(np.zeros((2, 2)), [[0], [1, 2]]),
+        "dataset features": lambda: FeatureDataset([[1.0, 2.0], [3.0]]),
+        "update labels": lambda: supervised_update(model.store, signals, [[0], [1, 2]]),
+        "update signals": lambda: supervised_update(model.store, [[0.0], [1.0, 2.0]], [0, 1]),
+        "predict_batch": lambda: predict_batch(model, RAGGED),
+        "predict": lambda: predict(model, RAGGED),
+        "propagate_batch": lambda: propagate_batch(model.topology, RAGGED, 3),
+        "held-out labels": lambda: adapt(
+            model, X[:2], AdaptationConfig(epochs=1), held_out_labels=[[0], [1, 2]]
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_ragged_calls()))
+def test_ragged_input_is_a_dimension_error(entry):
+    with pytest.raises(DimensionError, match="ragged"):
+        _ragged_calls()[entry]()
